@@ -3,7 +3,8 @@
 Variables are dense integer indices into an externally held name table.
 Functions are kept in algebraic normal form (XOR of AND-monomials), terms
 (cubes) as conjunctions of literals.  Everything here is immutable and
-exact; no truth tables are materialized.
+exact.  This module never materializes a truth table; the engine's leaf
+and the oracle build their own.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ def mask_of(vars: Iterable[int]) -> int:
 def vars_of(mask: int) -> list[int]:
     """Unpack a bitmask into ascending variable indices."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -188,8 +187,13 @@ class Term:
                     neg |= 1 << v
             yield Term(pos, neg)
 
-    def sort_key(self) -> tuple:
-        return tuple(self.literals())
+    def sort_key(self) -> tuple[int, ...]:
+        """Canonical order: ``2*var + polarity`` per literal, ascending var.
+
+        Orders terms exactly as ``tuple(self.literals())`` does.
+        """
+        pos = self.pos
+        return tuple(2 * v + ((pos >> v) & 1) for v in vars_of(pos | self.neg))
 
     def to_anf(self, universe: int | None = None) -> "Anf":
         """The cube as a polynomial: product of x_i and (x_j + 1) factors."""

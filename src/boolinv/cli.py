@@ -3,7 +3,8 @@
 Result documents go to stdout; timing and configuration echo go to
 stderr so that machine output is byte-identical whatever the thread
 count.  Exit status: 0 decided (positive or neutral), 1 decided
-negative (not one-to-one, not a permutation), 2 error.
+negative (not one-to-one, not a permutation), 2 error, including an
+internal failure of the engine.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import json
 import sys
 import time
 
-from .algebra import Assignment
-from .engine import EngineConfig, implicants
+from .algebra import Assignment, MissingVariableError
+from .engine import MAX_BOUND, EngineConfig, implicants
 from .maps import (
     BoolMap,
     Uniqueness,
@@ -55,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("file", help="problem file (map, system, or polynomial)")
     common.add_argument(
         "--bound", type=int, default=12, metavar="M",
-        help="max support size solved by direct enumeration (default 12)",
+        help="max support size solved by direct enumeration "
+        f"(default 12, at most {MAX_BOUND})",
     )
     common.add_argument(
         "--jobs", type=int, default=1, metavar="K",
@@ -320,10 +322,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _cfg(args)  # refuse a bad --bound or --jobs before reading the file
         problem = parse_file(args.file)
         doc, lines, negative = _HANDLERS[args.command](problem, args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RuntimeError, MissingVariableError, MemoryError) as exc:
+        # RuntimeError includes RecursionError.  Exit 1 means "decided
+        # negative", so an internal failure must not escape with it.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(json.dumps(doc, indent=2))

@@ -3,22 +3,31 @@
 The solver picks variable-disjoint small-support factors, solves each by
 minterm enumeration, crosses the results, and recurses on the remaining
 factors cofactored by every cross term.  When no factor is small enough
-it falls back to a Boole-Shannon split.  Output order is canonical, so
-runs are reproducible at any parallelism level.
+it falls back to a Boole-Shannon split.
+
+The leaf is bit-sliced: each factor over a support of k variables becomes
+a 2**k-bit truth table held in one integer, built from cached per-variable
+bit patterns; the factor tables are ANDed and the satisfying minterms are
+read off the set bits.  The recursion returns its terms unordered and the
+top level sorts them once, so output order is canonical and runs are
+reproducible at any parallelism level.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import reduce
-from typing import Callable
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
-from .algebra import Anf, BoolSystem, CONTRADICTION, ImplicantSet, Term, vars_of
+from .algebra import Anf, BoolSystem, ImplicantSet, Term, vars_of
 
 #: Largest support handled by direct minterm enumeration.
 DEFAULT_BOUND = 12
+
+#: Largest accepted enumeration bound: a leaf truth table holds 2**k bits.
+MAX_BOUND = 20
 
 
 class BoundExceededError(ValueError):
@@ -48,6 +57,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.base_bound_m < 1:
             raise ValueError("base_bound_m must be at least 1")
+        if self.base_bound_m > MAX_BOUND:
+            raise ValueError(f"base_bound_m must be at most {MAX_BOUND}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
 
@@ -67,32 +78,69 @@ class ClusterPlan:
     split_var: int | None = None
 
 
-def impl_for_simple(f: Anf, bound: int = DEFAULT_BOUND) -> ImplicantSet:
-    """All satisfying minterms over support(f), ascending binary order.
+@lru_cache(maxsize=None)
+def _index_pattern(b: int, k: int) -> int:
+    """Table over 2**k points that is 1 where bit ``b`` of the point index is 1."""
+    half = 1 << b
+    pattern = ((1 << half) - 1) << half  # one period: half zeros, then half ones
+    width = half << 1
+    while width < 1 << k:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
 
-    The first (lowest-index) support variable is the most significant
-    bit of the enumeration, which coincides with the canonical term
-    order used everywhere else.
+
+def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
+    """All satisfying minterms of ``f``, or of the AND of a system's factors.
+
+    The scan runs over ``f.support``, the first (lowest-index) variable as
+    the most significant bit of the point index, so ascending points come
+    out in the canonical term order used everywhere else.  Variables the
+    conjunction does not depend on are left free, which makes the result
+    the minterms over the support of the product polynomial.
     """
     support = f.support
     k = support.bit_count()
-    if k > bound:
-        raise BoundExceededError(k, bound)
+    limit = min(bound, MAX_BOUND)
+    if k > limit:
+        raise BoundExceededError(k, limit)
+    factors = f.factors if isinstance(f, BoolSystem) else (f,)
     vs = vars_of(support)
-    monomials = tuple(f.monomials)
-    out = []
-    for bits in itertools.product((0, 1), repeat=k):
-        trues = 0
-        for v, b in zip(vs, bits):
-            if b:
-                trues |= 1 << v
+    index_bit = {v: k - 1 - j for j, v in enumerate(vs)}
+    full = (1 << (1 << k)) - 1
+    table = full
+    for h in factors:
         acc = 0
-        for m in monomials:
-            if m & trues == m:
-                acc ^= 1
-        if acc:
-            out.append(Term(trues, support & ~trues))
-    return ImplicantSet(tuple(out), support)
+        for m in h.monomials:
+            t = full
+            for v in vars_of(m):
+                t &= _index_pattern(index_bit[v], k)
+            acc ^= t
+        table &= acc
+        if not table:
+            return ImplicantSet((), 0)
+    essential = support
+    for v in vs:
+        b = index_bit[v]
+        p = _index_pattern(b, k)
+        low = table & ~p
+        if low == (table & p) >> (1 << b):
+            table = low  # keep the points with v = 0; v stays free
+            essential ^= 1 << v
+    var_of_bit = [1 << v for v in reversed(vs)]
+    bits = format(table, "b")[::-1]  # character i is the value at point i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        trues = 0
+        rest = i
+        while rest:
+            low = rest & -rest
+            trues |= var_of_bit[low.bit_length() - 1]
+            rest ^= low
+        out.append(Term(trues, essential & ~trues))
+        i = bits.find("1", i + 1)
+    return ImplicantSet(tuple(out), essential)
 
 
 def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
@@ -127,10 +175,6 @@ def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
     return ClusterPlan(tuple(admitted), rest)
 
 
-def _conjunction(factors: tuple[Anf, ...], support: int) -> Anf:
-    return reduce(Anf.__mul__, factors, Anf.one(support))
-
-
 def _branches(sys: BoolSystem, cfg: EngineConfig) -> list[tuple[Term, BoolSystem]]:
     """Orthogonal seed terms with the residual system under each."""
     plan = select_disjoint_clusters(sys, cfg)
@@ -146,13 +190,12 @@ def _branches(sys: BoolSystem, cfg: EngineConfig) -> list[tuple[Term, BoolSystem
     residual = tuple(sys.factors[i] for i in plan.residual)
     out = []
     for combo in itertools.product(*per_factor):
-        t = Term()
+        # packed factors have disjoint supports, so their terms never clash
+        pos = neg = 0
         for part in combo:
-            t = t.conjoin(part)
-            if t is CONTRADICTION:  # unreachable with disjoint supports
-                break
-        if t is CONTRADICTION:
-            continue
+            pos |= part.pos
+            neg |= part.neg
+        t = Term(pos, neg)
         sub = BoolSystem(
             tuple(h.ratio(t) for h in residual), sys.universe & ~t.vars_mask
         )
@@ -160,26 +203,32 @@ def _branches(sys: BoolSystem, cfg: EngineConfig) -> list[tuple[Term, BoolSystem
     return out
 
 
-def _solve(sys: BoolSystem, cfg: EngineConfig) -> list[Term]:
+def _live(sys: BoolSystem) -> BoolSystem | None:
+    """The system without its constant-1 factors; None when a factor is 0."""
     factors = tuple(h for h in sys.factors if not h.is_one)
     for h in factors:
         if h.is_zero:
-            return []
-    support = 0
-    for h in factors:
-        support |= h.support
-    if support.bit_count() <= cfg.base_bound_m:
-        f = _conjunction(factors, support)
-        return list(impl_for_simple(f, cfg.base_bound_m).terms)
-    sub_sys = BoolSystem(factors, sys.universe)
-    out: list[Term] = []
-    for seed, sub in _branches(sub_sys, cfg):
-        for s in _solve(sub, cfg):
-            ts = seed.conjoin(s)
-            if ts is not CONTRADICTION:
-                out.append(ts)
-    out.sort(key=Term.sort_key)
-    return out
+            return None
+    return BoolSystem(factors, sys.universe)
+
+
+def _cross(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> list[Term]:
+    """Each seed ANDed with each cover term of the system under it.
+
+    That system is cofactored by its seed and no longer mentions the
+    seed's variables, so no product is a contradiction.
+    """
+    return [seed.conjoin(s) for seed, sub in branches for s in _solve(sub, cfg)]
+
+
+def _solve(sys: BoolSystem, cfg: EngineConfig) -> list[Term]:
+    """Cover terms of the system; canonical order only when one leaf scan made them."""
+    live = _live(sys)
+    if live is None:
+        return []
+    if live.support.bit_count() <= cfg.base_bound_m:
+        return list(impl_for_simple(live, cfg.base_bound_m).terms)
+    return _cross(_branches(live, cfg), cfg)
 
 
 def implicants(sys: BoolSystem, cfg: EngineConfig | None = None) -> ImplicantSet:
@@ -190,26 +239,18 @@ def implicants(sys: BoolSystem, cfg: EngineConfig | None = None) -> ImplicantSet
     byte-equal outputs.
     """
     cfg = cfg or EngineConfig()
-    factors = tuple(h for h in sys.factors if not h.is_one)
-    for h in factors:
-        if h.is_zero:
-            return ImplicantSet((), sys.universe)
-    support = 0
-    for h in factors:
-        support |= h.support
-    if cfg.parallelism > 1 and support.bit_count() > cfg.base_bound_m:
-        seq = replace(cfg, parallelism=1)
-        branches = _branches(BoolSystem(factors, sys.universe), cfg)
-        solve_one: Callable[[tuple[Term, BoolSystem]], list[Term]] = lambda b: [
-            t
-            for s in _solve(b[1], seq)
-            if (t := b[0].conjoin(s)) is not CONTRADICTION
-        ]
+    # constant factors have empty support, so this is the support _solve sees
+    if sys.support.bit_count() <= cfg.base_bound_m:
+        # at most one leaf scan, whose minterms come in canonical order
+        return ImplicantSet(tuple(_solve(sys, cfg)), sys.universe)
+    if cfg.parallelism > 1 and (live := _live(sys)) is not None:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            chunks = list(pool.map(solve_one, branches))
-        terms = sorted((t for chunk in chunks for t in chunk), key=Term.sort_key)
-        return ImplicantSet(tuple(terms), sys.universe)
-    return ImplicantSet(tuple(_solve(sys, cfg)), sys.universe)
+            chunks = pool.map(lambda b: _cross((b,), cfg), _branches(live, cfg))
+            terms = [t for chunk in chunks for t in chunk]
+    else:
+        terms = _solve(sys, cfg)
+    terms.sort(key=Term.sort_key)
+    return ImplicantSet(tuple(terms), sys.universe)
 
 
 def compose_product(
@@ -223,12 +264,6 @@ def compose_product(
     """
     cfg = cfg or EngineConfig()
     universe = seed.universe | sys_g.universe
-    out: list[Term] = []
-    for t in seed.terms:
-        sub = sys_g.ratio(t)
-        for s in _solve(sub, cfg):
-            ts = t.conjoin(s)
-            if ts is not CONTRADICTION:
-                out.append(ts)
+    out = _cross(((t, sys_g.ratio(t)) for t in seed.terms), cfg)
     out.sort(key=Term.sort_key)
     return ImplicantSet(tuple(out), universe)

@@ -5,8 +5,9 @@ on a line.  Map files declare inputs with `vars:` and one `name = anf`
 equation per output; system files use `0 = anf` equations over the
 declared variables; polynomial files give `field:` and then `poly:`.
 ANF expressions are sums (`+`, XOR) of products (`*`, AND) of declared
-variables and the constant `1`.  Polynomial coefficients are hex bit
-vectors in the basis packing, `X` is the reserved indeterminate.
+variables and the constant `1`, or the lone constant `0`.  Polynomial
+coefficients are hex bit vectors in the basis packing, `X` is the
+reserved indeterminate.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def _parse_anf(
     body: str, offset: int, lineno: int, resolve, universe: int
 ) -> Anf:
     """Sum-of-products expression; ``resolve`` maps a name to a var id."""
+    if body.strip() == "0":
+        return Anf.zero(universe)
     monomials: list[int] = []
     current: int | None = None
     expect_atom = True

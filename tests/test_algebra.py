@@ -1,6 +1,7 @@
 """Core algebra: terms, ANF arithmetic, cofactors, implicant checks."""
 
 import itertools
+import random
 
 import pytest
 
@@ -218,3 +219,16 @@ def test_expand_minterms_sorted_and_capped():
     assert ms == sorted(ms, key=Term.sort_key)
     with pytest.raises(ValueError):
         s.expand_minterms(cap=3)
+
+
+def test_sort_key_orders_like_literal_tuples():
+    rng = random.Random(7)
+    terms = []
+    for _ in range(2000):
+        vs = rng.sample(range(rng.choice((3, 6, 40))), rng.randint(0, 3))
+        terms.append(Term.of(*((v, rng.randint(0, 1)) for v in vs)))
+    by_literals = sorted(terms, key=lambda t: tuple(t.literals()))
+    assert sorted(terms, key=Term.sort_key) == by_literals
+    for a, b in zip(terms, terms[1:]):
+        assert (a.sort_key() < b.sort_key()) == (tuple(a.literals()) < tuple(b.literals()))
+        assert (a.sort_key() == b.sort_key()) == (a == b)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from boolinv.algebra import Assignment
+import boolinv.cli
+import boolinv.maps
+from boolinv.algebra import Assignment, MissingVariableError
 from boolinv.cli import main
 from boolinv.parsing import parse_file
 
@@ -221,6 +223,38 @@ def test_error_exits(capsys, tmp_path):
     code, _, err = run(capsys, "unique", bad)
     assert code == 2
     assert "error:" in err and "line 2" in err
+
+
+def test_bound_beyond_cap_exits_2_at_once(capsys):
+    for command, path in (("invert", SHIFT), ("permpoly", CUBE_F8), ("oracle", QUAD)):
+        code, out, err = run(capsys, command, path, "--bound", "1000000")
+        assert code == 2
+        assert out == ""
+        assert "at most 20" in err
+    assert run(capsys, "invert", SHIFT, "--bound", "20")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("engine inconsistency"),
+        RecursionError("maximum recursion depth exceeded"),
+        MissingVariableError(3),
+        MemoryError(),
+    ],
+)
+def test_internal_errors_exit_2(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(boolinv.maps, "implicants", broken)
+    monkeypatch.setattr(boolinv.cli, "implicants", broken)
+    for command in ("invert", "implicants"):
+        code, out, err = run(capsys, command, SHIFT)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: internal: {type(exc).__name__}")
 
 
 def test_text_output_smoke(capsys):

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
-from boolinv.algebra import Anf, BoolSystem, ImplicantSet, Term, mask_of
+from functools import reduce
+
+from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, vars_of
 from boolinv.engine import (
+    MAX_BOUND,
     BoundExceededError,
     ClusterPlan,
     EngineConfig,
@@ -17,7 +20,7 @@ from boolinv.engine import (
 )
 from boolinv.oracle import solution_count, validate_implicant_set
 
-from conftest import random_system
+from conftest import random_anf, random_system
 
 # variable ids: inputs first, then outputs
 X1, X2, X3, X4 = 0, 1, 2, 3
@@ -97,6 +100,60 @@ def test_impl_for_simple_bound():
     f = Anf.from_monomials([1 << v for v in range(4)], uni)
     with pytest.raises(BoundExceededError):
         impl_for_simple(f, bound=3)
+
+
+def test_impl_for_simple_refuses_support_beyond_max_bound():
+    uni = mask_of(range(MAX_BOUND + 1))
+    f = Anf.from_monomials([1 << v for v in range(MAX_BOUND + 1)], uni)
+    with pytest.raises(BoundExceededError):
+        impl_for_simple(f, bound=MAX_BOUND + 5)
+
+
+def _pointwise_minterms(factors: tuple[Anf, ...]) -> ImplicantSet:
+    """Minterms of the factors' product, scanned point by point with evaluate.
+
+    The scan runs over the support of the product polynomial, first
+    variable most significant; variables outside it are held at 0.
+    """
+    uni = 0
+    for h in factors:
+        uni |= h.universe
+    product = reduce(Anf.__mul__, factors, Anf.one(uni))
+    support = product.support
+    vs = vars_of(support)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(vs)):
+        trues = mask_of(v for v, b in zip(vs, bits) if b)
+        point = Assignment(uni, trues)
+        if all(h.evaluate(point) for h in factors):
+            out.append(Term(trues, support & ~trues))
+    return ImplicantSet(tuple(out), support)
+
+
+def test_impl_for_simple_matches_pointwise_scan():
+    rng = random.Random(2307)
+    for _ in range(300):
+        pool = rng.sample(range(24), rng.randint(0, 12))
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            sup = rng.sample(pool, rng.randint(len(pool) // 2, len(pool)))
+            f = random_anf(rng, sup, max_monomials=8)
+            if rng.random() < 0.5:  # spread the support over every drawn variable
+                f ^= Anf.from_monomials([1 << v for v in sup], mask_of(sup))
+            factors.append(f)
+        expected = _pointwise_minterms(tuple(factors))
+        assert impl_for_simple(BoolSystem.of(factors)) == expected
+        if len(factors) == 1:
+            assert impl_for_simple(factors[0]) == expected
+
+
+def test_impl_for_simple_leaves_inessential_variables_free():
+    x, y = Anf.variable(X1, 0b11), Anf.variable(X2, 0b11)
+    x_or_y = x ^ y ^ (x * y)
+    # (x or y) and x is x alone: y stays free and the cover lives over {x}
+    s = impl_for_simple(BoolSystem.of([x_or_y, x]))
+    assert s == ImplicantSet((Term.of((X1, 1)),), 1 << X1)
+    assert s == _pointwise_minterms((x_or_y, x))
 
 
 def test_select_prefers_small_disjoint_supports():
@@ -248,3 +305,6 @@ def test_engine_config_validation():
         EngineConfig(base_bound_m=0)
     with pytest.raises(ValueError):
         EngineConfig(parallelism=0)
+    assert EngineConfig(base_bound_m=MAX_BOUND).base_bound_m == MAX_BOUND
+    with pytest.raises(ValueError, match="at most"):
+        EngineConfig(base_bound_m=MAX_BOUND + 1)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from boolinv.algebra import Anf, Term, mask_of
+from boolinv.algebra import Anf, BoolSystem, Term, mask_of
 from boolinv.gf2n import FieldSpec, UniPoly
+from boolinv.maps import BoolMap
 from boolinv.parsing import (
     MapProblem,
     ParseError,
@@ -152,8 +153,29 @@ def test_format_poly_forms():
         "vars: x1 x2 x3 x4\n0 = x1*x2 + x3\n0 = x4 + 1\n",
         "field: n=4 modulus=10011\npoly: 9*X^3 + X + 7\n",
         "field: n=3\npoly: 0\n",
+        "vars: x1 x2\ny1 = x1\ny2 = 0\n",
+        "vars: x1 x2\n0 = 0\n0 = 1\n0 = x2\n",
     ],
 )
 def test_round_trip(text):
     p = parse_text(text)
     assert parse_text(format_problem(p)) == p
+
+
+def test_zero_coordinate_and_zero_factor_round_trip():
+    uni = mask_of(range(2))
+    p = parse_text("vars: x1 x2\ny1 = x1\ny2 = x2\n")
+    zero_coord = MapProblem(
+        BoolMap.of([Anf.variable(0, uni), Anf.zero(uni)], 2), p.table
+    )
+    assert "y2 = 0" in format_problem(zero_coord)
+    assert parse_text(format_problem(zero_coord)) == zero_coord
+
+    s = parse_text("vars: x1 x2\n0 = x1\n0 = x2\n")
+    zero_factor = SystemProblem(BoolSystem((Anf.zero(uni), Anf.one(uni)), uni), s.table)
+    assert parse_text(format_problem(zero_factor)) == zero_factor
+
+
+def test_zero_is_only_accepted_alone():
+    with pytest.raises(ParseError, match="unexpected character '0'"):
+        parse_text("vars: x1\ny1 = x1 + 0\n")
