@@ -213,13 +213,18 @@ def _sorted_monomial(mask: int) -> tuple:
     return (0, mask.bit_count(), tuple(vars_of(mask)))
 
 
+_ONE = frozenset((0,))  # monomials of the constant 1
+
+
 @dataclass(frozen=True)
 class Anf:
     """Boolean function in algebraic normal form.
 
     ``monomials`` is a set of variable bitmasks XORed together; the empty
     mask is the constant-1 monomial.  Duplicate monomials cancel, so the
-    representation is canonical and equality is structural.
+    representation is canonical and equality is structural.  ``support``,
+    the mask of the variables the monomials use, is computed once on
+    construction and is not a field.
     """
 
     monomials: frozenset[int]
@@ -231,6 +236,8 @@ class Anf:
             support |= m
         if support & ~self.universe:
             raise ValueError("monomial uses a variable outside the universe")
+        # not a field, so equality and hashing still see only the polynomial
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[int], universe: int | None = None) -> "Anf":
@@ -265,14 +272,7 @@ class Anf:
 
     @property
     def is_one(self) -> bool:
-        return self.monomials == frozenset((0,))
-
-    @property
-    def support(self) -> int:
-        s = 0
-        for m in self.monomials:
-            s |= m
-        return s
+        return self.monomials == _ONE
 
     def with_universe(self, universe: int) -> "Anf":
         return Anf(self.monomials, universe)

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Result documents go to stdout; timing and configuration echo go to
-stderr so that machine output is byte-identical whatever the thread
-count.  Exit status: 0 decided (positive or neutral), 1 decided
-negative (not one-to-one, not a permutation), 2 error, including an
-internal failure of the engine.
+stderr so that machine output is byte-identical from run to run.  Exit
+status: 0 decided (positive or neutral), 1 decided negative (not
+one-to-one, not a permutation), 2 error, including an internal failure
+of the engine.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"(default 12, at most {MAX_BOUND})",
     )
     common.add_argument(
-        "--jobs", type=int, default=1, metavar="K",
-        help="worker threads for independent branches (default 1)",
-    )
-    common.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="result document format (default text)",
     )
@@ -92,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cfg(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(base_bound_m=args.bound, parallelism=args.jobs)
+    return EngineConfig(base_bound_m=args.bound)
 
 
 def _assignment_obj(a: Assignment, table: VarTable) -> dict:
@@ -322,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        _cfg(args)  # refuse a bad --bound or --jobs before reading the file
+        _cfg(args)  # refuse a bad --bound before reading the file
         problem = parse_file(args.file)
         doc, lines, negative = _HANDLERS[args.command](problem, args)
     except (ParseError, ValueError, OSError) as exc:
@@ -340,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - started
     seed = "" if args.seed is None else f" seed={args.seed}"
     print(
-        f"[boolinv] {args.command} bound={args.bound} jobs={args.jobs}"
+        f"[boolinv] {args.command} bound={args.bound}"
         f"{seed} elapsed={elapsed:.3f}s",
         file=sys.stderr,
     )

@@ -1,22 +1,24 @@
-"""Recursive computation of complete orthogonal implicant covers.
+"""Computation of complete orthogonal implicant covers.
 
-The solver picks variable-disjoint small-support factors, solves each by
-minterm enumeration, crosses the results, and recurses on the remaining
-factors cofactored by every cross term.  When no factor is small enough
-it falls back to a Boole-Shannon split.
+The solver picks variable-disjoint small-support factors and solves each
+by minterm enumeration.  It crosses their covers one factor at a time,
+in breadth-first order over shared variables, and cofactors the other
+(residual) factors as it goes, so a partial branch is dropped as soon
+as a residual factor becomes 0 or two of them force one variable both
+ways, the unit propagation of DPLL.  It then goes on with the residual
+system under every live cross term.  When no factor is small enough it
+falls back to a Boole-Shannon split.  The decomposition runs on an
+explicit stack, so its depth is not bounded by the interpreter's.
 
 The leaf is bit-sliced: each factor over a support of k variables becomes
 a 2**k-bit truth table held in one integer, built from cached per-variable
 bit patterns; the factor tables are ANDed and the satisfying minterms are
-read off the set bits.  The recursion returns its terms unordered and the
-top level sorts them once, so output order is canonical and runs are
-reproducible at any parallelism level.
+read off the set bits.  The decomposition collects its terms unordered
+and the top level sorts them once, so output order is canonical.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -44,23 +46,15 @@ class BoundExceededError(ValueError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Solver knobs.
-
-    ``deterministic`` is accepted for interface stability but output is
-    canonically ordered unconditionally; there is no unordered fast path.
-    """
+    """Solver knobs: the largest support solved by one leaf scan."""
 
     base_bound_m: int = DEFAULT_BOUND
-    parallelism: int = 1
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.base_bound_m < 1:
             raise ValueError("base_bound_m must be at least 1")
         if self.base_bound_m > MAX_BOUND:
             raise ValueError(f"base_bound_m must be at most {MAX_BOUND}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -171,36 +165,126 @@ def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
         split = min(counts, key=lambda v: (-counts[v], v))
         rest = tuple(i for i in range(len(sys.factors)) if i != smallest)
         return ClusterPlan((smallest,), rest, split_var=split)
-    rest = tuple(i for i in range(len(sys.factors)) if i not in set(admitted))
+    packed = set(admitted)
+    rest = tuple(i for i in range(len(sys.factors)) if i not in packed)
     return ClusterPlan(tuple(admitted), rest)
 
 
+def _crossing_order(
+    packed: tuple[int, ...], factor_vars: list[list[int]], occurs: dict[int, list[int]]
+) -> list[int]:
+    """Packed factor indices in breadth-first order over shared variables.
+
+    The search runs through packed and residual factors alike, from each
+    packed factor not reached yet in plan order, so consecutive packed
+    factors meet the same residual factors whatever the equation order.
+    """
+    is_packed = set(packed)
+    seen: set[int] = set()
+    done_vars: set[int] = set()
+    order = []
+    for start in packed:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for i in queue:  # the loop also visits what it appends
+            if i in is_packed:
+                order.append(i)
+            for v in factor_vars[i]:
+                if v not in done_vars:
+                    done_vars.add(v)
+                    for k in occurs[v]:
+                        if k not in seen:
+                            seen.add(k)
+                            queue.append(k)
+    return order
+
+
+def _cofactor_near(
+    res: dict[int, Anf], near: Iterable[int], t: Term, occurs: dict[int, list[int]]
+) -> dict[int, Anf] | None:
+    """``res`` with its factors in ``near`` that ``t`` touches cofactored by ``t``.
+
+    Constant-1 cofactors leave the map.  None when the branch is dead: a
+    cofactor is 0, or a cofactor that is a single literal meets the
+    opposite literal on the same variable.
+    """
+    mask = t.vars_mask
+    changed = {}
+    for k in near:
+        h = res.get(k)
+        if h is not None and h.support & mask:
+            h = h.ratio(t)
+            if h.is_zero:
+                return None
+            changed[k] = h
+    if not changed:
+        return res
+    for h in changed.values():
+        s = h.support
+        if s and not s & (s - 1):  # h is x_v or x_v + 1
+            for j in occurs[s.bit_length() - 1]:
+                g = changed[j] if j in changed else res.get(j)
+                if g is not None and g.support == s and g.monomials != h.monomials:
+                    return None
+    out = dict(res)
+    for k, h in changed.items():
+        if h.is_one:
+            del out[k]
+        else:
+            out[k] = h
+    return out
+
+
 def _branches(sys: BoolSystem, cfg: EngineConfig) -> list[tuple[Term, BoolSystem]]:
-    """Orthogonal seed terms with the residual system under each."""
+    """Orthogonal seed terms with the residual system under each.
+
+    The packed factors are crossed one at a time, each partial branch
+    carrying its seed and the cofactors of the residual factors that are
+    not constant 1.  After each packed factor only the residual factors
+    sharing a variable with it are cofactored, and a branch is dropped
+    as soon as one of them is 0 or two single-literal cofactors clash.
+    A dropped branch has an unsatisfiable residual, so the cover is the
+    one the full product of the packed covers gives.
+    """
     plan = select_disjoint_clusters(sys, cfg)
     if plan.split_var is not None:
         v = plan.split_var
         return [
             (t, sys.ratio(t)) for t in (Term.of((v, 0)), Term.of((v, 1)))
         ]
-    per_factor = [
-        impl_for_simple(sys.factors[i], cfg.base_bound_m).terms
-        for i in plan.disjoint_factors
+    factors = sys.factors
+    residual = plan.residual
+    order = plan.disjoint_factors
+    occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
+    near: dict[int, list[int]] = {}  # packed factor -> residual factors sharing a variable
+    if residual:
+        factor_vars = [vars_of(h.support) for h in factors]
+        for i, vs in enumerate(factor_vars):
+            for v in vs:
+                occurs.setdefault(v, []).append(i)
+        is_residual = set(residual)
+        for i in order:
+            near[i] = list({k for v in factor_vars[i] for k in occurs[v] if k in is_residual})
+        if len(order) > 1:
+            order = _crossing_order(order, factor_vars, occurs)
+    partial = [(0, 0, {i: factors[i] for i in residual})]
+    for i in order:
+        grown = []
+        terms = impl_for_simple(factors[i], cfg.base_bound_m).terms
+        near_i = near.get(i, ())
+        for pos, neg, res in partial:
+            for t in terms:
+                sub = _cofactor_near(res, near_i, t, occurs)
+                if sub is not None:
+                    # packed factors have disjoint supports, so their terms never clash
+                    grown.append((pos | t.pos, neg | t.neg, sub))
+        partial = grown
+    return [
+        (Term(pos, neg), BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
+        for pos, neg, res in partial
     ]
-    residual = tuple(sys.factors[i] for i in plan.residual)
-    out = []
-    for combo in itertools.product(*per_factor):
-        # packed factors have disjoint supports, so their terms never clash
-        pos = neg = 0
-        for part in combo:
-            pos |= part.pos
-            neg |= part.neg
-        t = Term(pos, neg)
-        sub = BoolSystem(
-            tuple(h.ratio(t) for h in residual), sys.universe & ~t.vars_mask
-        )
-        out.append((t, sub))
-    return out
 
 
 def _live(sys: BoolSystem) -> BoolSystem | None:
@@ -212,44 +296,43 @@ def _live(sys: BoolSystem) -> BoolSystem | None:
     return BoolSystem(factors, sys.universe)
 
 
-def _cross(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> list[Term]:
+def _solve(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> list[Term]:
     """Each seed ANDed with each cover term of the system under it.
 
     That system is cofactored by its seed and no longer mentions the
-    seed's variables, so no product is a contradiction.
+    seed's variables, so no product is a contradiction.  An explicit
+    stack replaces recursion, so the depth of the decomposition is not
+    limited by the interpreter's.  Terms come in canonical order only
+    when one leaf scan made them all.
     """
-    return [seed.conjoin(s) for seed, sub in branches for s in _solve(sub, cfg)]
-
-
-def _solve(sys: BoolSystem, cfg: EngineConfig) -> list[Term]:
-    """Cover terms of the system; canonical order only when one leaf scan made them."""
-    live = _live(sys)
-    if live is None:
-        return []
-    if live.support.bit_count() <= cfg.base_bound_m:
-        return list(impl_for_simple(live, cfg.base_bound_m).terms)
-    return _cross(_branches(live, cfg), cfg)
+    out: list[Term] = []
+    stack = list(branches)
+    while stack:
+        seed, sys = stack.pop()
+        live = _live(sys)
+        if live is None:
+            continue
+        if live.support.bit_count() <= cfg.base_bound_m:
+            for s in impl_for_simple(live, cfg.base_bound_m).terms:
+                out.append(Term(seed.pos | s.pos, seed.neg | s.neg))
+        else:
+            for t, sub in _branches(live, cfg):
+                stack.append((Term(seed.pos | t.pos, seed.neg | t.neg), sub))
+    return out
 
 
 def implicants(sys: BoolSystem, cfg: EngineConfig | None = None) -> ImplicantSet:
     """Complete orthogonal implicant cover of the system's solution set.
 
     Empty result means the system is unsatisfiable.  Terms come back in
-    canonical order whatever the parallelism, so equal inputs give
-    byte-equal outputs.
+    canonical order, so equal inputs give byte-equal outputs.
     """
     cfg = cfg or EngineConfig()
-    # constant factors have empty support, so this is the support _solve sees
-    if sys.support.bit_count() <= cfg.base_bound_m:
-        # at most one leaf scan, whose minterms come in canonical order
-        return ImplicantSet(tuple(_solve(sys, cfg)), sys.universe)
-    if cfg.parallelism > 1 and (live := _live(sys)) is not None:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            chunks = pool.map(lambda b: _cross((b,), cfg), _branches(live, cfg))
-            terms = [t for chunk in chunks for t in chunk]
-    else:
-        terms = _solve(sys, cfg)
-    terms.sort(key=Term.sort_key)
+    terms = _solve([(Term(), sys)], cfg)
+    # constant factors have empty support, so this is the support _solve
+    # sees; within the bound one leaf scan made the terms in canonical order
+    if sys.support.bit_count() > cfg.base_bound_m:
+        terms.sort(key=Term.sort_key)
     return ImplicantSet(tuple(terms), sys.universe)
 
 
@@ -258,12 +341,12 @@ def compose_product(
 ) -> ImplicantSet:
     """Implicants of (cover's function) AND (system), built per seed term.
 
-    For each seed term the system is cofactored and solved recursively;
+    For each seed term the system is cofactored and solved;
     branches whose cofactored system is unsatisfiable vanish on their
     own.  The result is complete and orthogonal for the conjunction.
     """
     cfg = cfg or EngineConfig()
     universe = seed.universe | sys_g.universe
-    out = _cross(((t, sys_g.ratio(t)) for t in seed.terms), cfg)
+    out = _solve([(t, sys_g.ratio(t)) for t in seed.terms], cfg)
     out.sort(key=Term.sort_key)
     return ImplicantSet(tuple(out), universe)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import Anf, Assignment, BoolSystem, Term, mask_of, vars_of
+from .algebra import Anf, Assignment, BoolSystem, Term, vars_of
 from .gf2n import FieldSpec, UniPoly
 from .maps import BoolMap
 
@@ -210,12 +210,24 @@ def parse_text(text: str) -> Problem:
     """Parse one problem file; raises ParseError with position on failure."""
     inputs: list[str] = []
     declared = False
-    targets: list[str] = []
+    targets: dict[str, None] = {}  # output names in file order
     coords: list[Anf] = []
     factors: list[Anf] = []
     spec: FieldSpec | None = None
     poly: UniPoly | None = None
     lineno = 0
+    ids: dict[str, int] = {}  # input name -> variable id
+    uni = 0
+
+    def resolve_input(name: str, ln: int, col: int) -> int:
+        var = ids.get(name)
+        if var is not None:
+            return var
+        if name in targets:
+            raise ParseError(
+                f"output variable '{name}' cannot appear in an expression", ln, col
+            )
+        raise ParseError(f"undeclared variable '{name}'", ln, col)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
@@ -239,9 +251,11 @@ def parse_text(text: str) -> Problem:
                 col = indent + 5 + m.start() + 1
                 if not _IDENT.fullmatch(name):
                     raise ParseError(f"invalid variable name '{name}'", lineno, col)
-                if name in inputs:
+                if name in ids:
                     raise ParseError(f"duplicate variable '{name}'", lineno, col)
+                ids[name] = len(inputs)
                 inputs.append(name)
+            uni = (1 << len(inputs)) - 1
             continue
 
         if stripped.startswith("field:"):
@@ -272,21 +286,6 @@ def parse_text(text: str) -> Problem:
         lhs_name = lhs.strip()
         if not declared:
             raise ParseError("equation before vars declaration", lineno, indent + 1)
-        n_in = len(inputs)
-        uni = mask_of(range(n_in))
-
-        def resolve_input(name: str, ln: int, col: int) -> int:
-            try:
-                return inputs.index(name)
-            except ValueError:
-                if name in targets:
-                    raise ParseError(
-                        f"output variable '{name}' cannot appear in an expression",
-                        ln,
-                        col,
-                    ) from None
-                raise ParseError(f"undeclared variable '{name}'", ln, col) from None
-
         rhs_offset = len(line) - len(rhs)
         if lhs_name == "0":
             if targets:
@@ -302,14 +301,14 @@ def parse_text(text: str) -> Problem:
                 )
             if not _IDENT.fullmatch(lhs_name):
                 raise ParseError(f"invalid equation target '{lhs_name}'", lineno, indent + 1)
-            if lhs_name in inputs:
+            if lhs_name in ids:
                 raise ParseError(
                     f"equation target '{lhs_name}' is a declared input", lineno, indent + 1
                 )
             if lhs_name in targets:
                 raise ParseError(f"duplicate equation target '{lhs_name}'", lineno, indent + 1)
             coords.append(_parse_anf(rhs, rhs_offset, lineno, resolve_input, uni))
-            targets.append(lhs_name)
+            targets[lhs_name] = None
 
     if poly is not None:
         return PolyProblem(poly, spec)
@@ -319,7 +318,6 @@ def parse_text(text: str) -> Problem:
         table = VarTable(tuple(inputs) + tuple(targets), len(inputs))
         return MapProblem(BoolMap.of(coords, len(inputs)), table)
     if factors:
-        uni = mask_of(range(len(inputs)))
         table = VarTable(tuple(inputs), len(inputs))
         system = BoolSystem(tuple(f.with_universe(uni) for f in factors), uni)
         return SystemProblem(system, table)

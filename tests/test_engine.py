@@ -1,13 +1,16 @@
-"""Implicant engine: base case, clustering, splitting, determinism."""
+"""Implicant engine: base case, clustering, splitting, pruning, determinism."""
 
 import itertools
+import json
 import random
+import time
 
 import pytest
 
 from functools import reduce
 
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, vars_of
+from boolinv.cli import main
 from boolinv.engine import (
     MAX_BOUND,
     BoundExceededError,
@@ -18,9 +21,10 @@ from boolinv.engine import (
     implicants,
     select_disjoint_clusters,
 )
+from boolinv.maps import BoolMap, Uniqueness, build_graph_system, unique_solution
 from boolinv.oracle import solution_count, validate_implicant_set
 
-from conftest import random_anf, random_system
+from conftest import random_anf, random_map_coords, random_system
 
 # variable ids: inputs first, then outputs
 X1, X2, X3, X4 = 0, 1, 2, 3
@@ -263,17 +267,6 @@ def test_implicants_cover_is_valid_on_random_corpus():
         assert cover.satisfying_total() == solution_count(sys)
 
 
-def test_implicants_deterministic_across_parallelism():
-    rng = random.Random(99)
-    for _ in range(10):
-        sys = random_system(rng, rng.randint(4, 9), rng.randint(2, 5))
-        runs = [
-            implicants(sys, EngineConfig(base_bound_m=3, parallelism=p))
-            for p in (1, 2, 8)
-        ]
-        assert runs[0] == runs[1] == runs[2]
-
-
 def test_disjoint_product_law():
     rng = random.Random(7)
     for _ in range(10):
@@ -303,8 +296,154 @@ def test_disjoint_product_law():
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(base_bound_m=0)
-    with pytest.raises(ValueError):
-        EngineConfig(parallelism=0)
     assert EngineConfig(base_bound_m=MAX_BOUND).base_bound_m == MAX_BOUND
     with pytest.raises(ValueError, match="at most"):
         EngineConfig(base_bound_m=MAX_BOUND + 1)
+
+
+def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
+    """The cover built with the full product of the packed covers.
+
+    Every combination of packed cover terms is formed first, and the
+    residual factors are cofactored by it afterwards, so no branch is
+    dropped before it is solved.  Same plan, leaf and final sort as the
+    engine.
+    """
+    bound = cfg.base_bound_m
+
+    def solve(s: BoolSystem) -> list[Term]:
+        factors = tuple(h for h in s.factors if not h.is_one)
+        if any(h.is_zero for h in factors):
+            return []
+        live = BoolSystem(factors, s.universe)
+        if live.support.bit_count() <= bound:
+            return list(impl_for_simple(live, bound).terms)
+        plan = select_disjoint_clusters(live, cfg)
+        if plan.split_var is not None:
+            seeds = [Term.of((plan.split_var, 0)), Term.of((plan.split_var, 1))]
+            branches = [(t, live.ratio(t)) for t in seeds]
+        else:
+            covers = [impl_for_simple(live.factors[i], bound).terms for i in plan.disjoint_factors]
+            residual = [live.factors[i] for i in plan.residual]
+            branches = []
+            for combo in itertools.product(*covers):
+                t = reduce(Term.conjoin, combo, Term())
+                sub = BoolSystem(tuple(h.ratio(t) for h in residual), live.universe & ~t.vars_mask)
+                branches.append((t, sub))
+        return [seed.conjoin(x) for seed, sub in branches for x in solve(sub)]
+
+    terms = solve(sys)
+    if sys.support.bit_count() > bound:
+        terms.sort(key=Term.sort_key)
+    return ImplicantSet(tuple(terms), sys.universe)
+
+
+def _xor_pair_system(rng: random.Random, n: int) -> BoolSystem:
+    """Random equations x_i + x_j = c and x_i = c: the shape that makes literals clash."""
+    uni = mask_of(range(n))
+    one = Anf.one(uni)
+    factors = []
+    for _ in range(rng.randint(2, n)):
+        i, j = rng.sample(range(n), 2)
+        f = Anf.variable(i, uni)
+        if rng.random() < 0.8:
+            f ^= Anf.variable(j, uni)
+        factors.append(f ^ one if rng.random() < 0.5 else f)
+    return BoolSystem(tuple(factors), uni)
+
+
+def test_pruned_cross_matches_product_cross():
+    rng = random.Random(4)
+    systems = []
+    for k in range(300):
+        n = rng.randint(4, 22)
+        if k % 3:
+            support = rng.choice((2, 3, 4))
+            systems.append(random_system(rng, n, rng.randint(2, n // 2 + 2), support))
+        else:
+            systems.append(_xor_pair_system(rng, n))
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        coords = random_map_coords(rng, n, rng.randint(n, n + 2))
+        systems.append(build_graph_system(BoolMap.of(coords, n)))
+    empty = 0
+    for sys in systems:
+        for bound in (12, 4, 2):
+            cfg = EngineConfig(base_bound_m=bound)
+            cover = implicants(sys, cfg)
+            assert cover == _product_cross_cover(sys, cfg)  # terms and their order
+            empty += not cover.terms
+    assert 0 < empty < len(systems) * 3  # satisfiable and unsatisfiable cases both occur
+
+
+def _chain(n: int, variant: str, shuffle_seed: int | None = None) -> BoolSystem:
+    """x_i + x_(i-1) = 1 for i = 1..n-1.
+
+    ``pinned`` adds x_0 = 1 (one solution), ``free`` adds nothing (two),
+    ``unsat`` pins both ends to values the chain forbids together.
+    """
+    uni = mask_of(range(n))
+    x = [Anf.variable(v, uni) for v in range(n)]
+    factors = [x[i] ^ x[i - 1] for i in range(1, n)]  # factor of x_i + x_(i-1) = 1
+    if variant in ("pinned", "unsat"):
+        factors.append(x[0])
+    if variant == "unsat":
+        # the chain makes x_(n-1) equal to 1 exactly when n is odd
+        factors.append(~x[n - 1] if n % 2 else x[n - 1])
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(factors)
+    return BoolSystem(tuple(factors), uni)
+
+
+def _ladder(n: int) -> BoolSystem:
+    """Two chains a (0..n/2-1) and b (n/2..n-1) joined by rungs a_i + b_i = 1, a_0 = 1."""
+    half = n // 2
+    uni = mask_of(range(2 * half))
+    a = [Anf.variable(v, uni) for v in range(half)]
+    b = [Anf.variable(half + v, uni) for v in range(half)]
+    factors = [a[i] ^ a[i - 1] for i in range(1, half)]
+    factors += [b[i] ^ b[i - 1] for i in range(1, half)]
+    factors += [a[i] ^ b[i] for i in range(half)]
+    factors.append(a[0])
+    return BoolSystem(tuple(factors), uni)
+
+
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_long_chains_and_ladders_decide_fast(n):
+    alternating = Assignment(mask_of(range(n)), mask_of(range(0, n, 2)))
+    half = n // 2
+    rails = mask_of(range(0, half, 2)) | mask_of(range(half + 1, 2 * half, 2))
+    ladder_point = Assignment(mask_of(range(2 * half)), rails)
+    cases = [
+        (_chain(n, "pinned"), Uniqueness.UNIQUE, alternating),
+        (_chain(n, "pinned", shuffle_seed=n), Uniqueness.UNIQUE, alternating),
+        (_chain(n, "free"), Uniqueness.MULTIPLE, None),
+        (_chain(n, "free", shuffle_seed=n + 1), Uniqueness.MULTIPLE, None),
+        (_chain(n, "unsat"), Uniqueness.NONE, None),
+        (_chain(n, "unsat", shuffle_seed=n + 2), Uniqueness.NONE, None),
+        (_ladder(n), Uniqueness.UNIQUE, ladder_point),
+    ]
+    for sys, status, point in cases:
+        started = time.perf_counter()
+        res = unique_solution(sys)
+        elapsed = time.perf_counter() - started
+        assert res.status is status
+        assert res.assignment == point
+        assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("bound", [12, 1])
+def test_deep_chain_decides_through_cli(tmp_path, capsys, bound):
+    # at --bound 1 every step of the decomposition fixes one variable,
+    # so the depth exceeds the interpreter's recursion limit
+    n = 1500
+    lines = ["vars: " + " ".join(f"x{i}" for i in range(n)), "0 = x0 + 1"]
+    lines += [f"0 = x{i} + x{i - 1} + 1" for i in range(1, n)]
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["unique", str(path), "--bound", str(bound), "--format", "json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "unique"
+    assert doc["assignment"] == {f"x{i}": (i + 1) % 2 for i in range(n)}
