@@ -87,6 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process: the tree costs more than a small command.
+_PARSER = _build_parser()
+
+
 def _cfg(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(base_bound_m=args.bound)
 
@@ -315,7 +319,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         _cfg(args)  # refuse a bad --bound before reading the file

@@ -3,9 +3,18 @@
 Field elements are coefficient bit vectors in the polynomial basis
 {1, a, ..., a^(n-1)} packed into ints (bit i = coefficient of a^i).
 A univariate polynomial over the field expands into n Boolean
-coordinate functions by evaluating at all 2^n points and transforming
-each output bit's truth table to ANF; the polynomial permutes the field
-exactly when that square map is invertible.
+coordinate functions, and the polynomial permutes the field exactly
+when that square map is invertible.
+
+The expansion works on plain ints.  It builds exp/log tables of the
+multiplicative group from a primitive element, so each nonzero term
+c*X^e is worth ``exp[(log c + e*log x) mod (2^n - 1)]`` at every x != 0
+and the whole value table costs O(2^n) per term, whatever the degree.
+Each output bit's truth table is then turned into ANF by ``moebius``, a
+bit-sliced binary Moebius transform inside one big int.  The oracle's
+list-based ``TruthTable.to_anf`` is the independent reference for it,
+and ``UniPoly.evaluate`` (Horner over ``FieldElem``) for the values;
+this module does not import the oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Anf, mask_of
+from .engine import _index_pattern
 from .maps import BoolMap, is_invertible_square
-from .oracle import TruthTable
 
 #: Everything here enumerates 2**n field points; stay at desk scale.
 MAX_DEGREE = 16
@@ -139,18 +148,6 @@ def _default_spec(n: int) -> FieldSpec:
     raise AssertionError("unreachable: irreducibles exist for every degree")
 
 
-def gf_add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def gf_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def gf_pow(a: FieldElem, e: int) -> FieldElem:
-    return a**e
-
-
 @dataclass(frozen=True)
 class UniPoly:
     """Univariate polynomial; coefficient index = exponent."""
@@ -189,6 +186,59 @@ class UniPoly:
         return acc
 
 
+def _exp_log(spec: FieldSpec) -> tuple[list[int], list[int]]:
+    """Powers of a primitive element, and their inverse (log[0] is unused).
+
+    The element x is not primitive for every irreducible modulus (under
+    0b11111 it has order 5), so the candidates are tried in turn.
+    """
+    q = spec.order - 1
+    for g in range(1, spec.order):
+        exp = [1]
+        y = g
+        while y != 1:
+            exp.append(y)
+            y = _poly_mod(_clmul(y, g), spec.modulus)
+        if len(exp) == q:
+            break
+    else:
+        raise AssertionError("unreachable: the multiplicative group is cyclic")
+    log = [0] * spec.order
+    for i, y in enumerate(exp):
+        log[y] = i
+    return exp, log
+
+
+def _value_table(p: UniPoly) -> list[int]:
+    """``p(x)`` for every field point x, indexed by the packed value of x."""
+    spec = p.spec
+    q = spec.order - 1
+    exp, log = _exp_log(spec)
+    by_log = [0] * q  # by_log[i] = p(exp[i]) minus the constant term
+    for e, c in enumerate(p.coefficients):
+        if e and c.value:
+            lc, step = log[c.value], e % q
+            by_log = [y ^ exp[(lc + step * i) % q] for i, y in enumerate(by_log)]
+    c0 = p.coefficients[0].value if p.coefficients else 0
+    values = [c0] * spec.order
+    for i, y in enumerate(by_log):
+        values[exp[i]] ^= y
+    return values
+
+
+def moebius(bits: int, n: int) -> int:
+    """Binary Moebius transform of a truth table over 2**n points.
+
+    Bit i of ``bits`` is the function at point i; bit i of the result is
+    the ANF coefficient of the monomial whose variables are the set bits
+    of i.  Each step XORs the half with index bit k clear into the half
+    with it set, all points at once.
+    """
+    for k in range(n):
+        bits ^= (bits & ~_index_pattern(k, n)) << (1 << k)
+    return bits
+
+
 def coordinate_functions(
     p: UniPoly, spec: FieldSpec | None = None, cap: int = MAX_DEGREE
 ) -> BoolMap:
@@ -204,14 +254,13 @@ def coordinate_functions(
     n = spec.n
     if n > cap:
         raise ValueError(f"degree {n} exceeds the enumeration cap {cap}")
-    tables = [0] * n
-    for v in range(spec.order):
-        y = p.evaluate(spec.element(v)).value
-        for j in range(n):
-            if (y >> j) & 1:
-                tables[j] |= 1 << v
+    values = _value_table(p)[::-1]  # highest point first, as int() reads digits
     uni = mask_of(range(n))
-    coords = [TruthTable(bits, uni).to_anf() for bits in tables]
+    coords = []
+    for j in range(n):
+        table = int("".join(["1" if y >> j & 1 else "0" for y in values]), 2)
+        anf = format(moebius(table, n), "b")[::-1]  # character i: monomial i
+        coords.append(Anf(frozenset(i for i, ch in enumerate(anf) if ch == "1"), uni))
     return BoolMap.of(coords, n)
 
 

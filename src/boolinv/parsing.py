@@ -7,7 +7,9 @@ declared variables; polynomial files give `field:` and then `poly:`.
 ANF expressions are sums (`+`, XOR) of products (`*`, AND) of declared
 variables and the constant `1`, or the lone constant `0`.  Polynomial
 coefficients are hex bit vectors in the basis packing, `X` is the
-reserved indeterminate.
+reserved indeterminate.  An exponent e > 0 is stored as
+(e - 1) mod (2^n - 1) + 1, which gives the same function on the field,
+so a polynomial never holds more than 2^n coefficients.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ def _parse_poly(body: str, offset: int, lineno: int, spec: FieldSpec) -> UniPoly
             raise ParseError("empty polynomial term", lineno, col)
         c = 1 if term_coeff is None else term_coeff
         e = 0 if term_exp is None else term_exp
+        if e:  # x^(2^n) = x at every field point, so X^e is this same function
+            e = (e - 1) % (spec.order - 1) + 1
         if c >= spec.order:
             raise ParseError(
                 f"coefficient {c:#x} outside the field of {spec.order}", lineno, col

@@ -149,6 +149,17 @@ def test_permpoly_exit_codes(capsys):
     assert doc["permutation"] is False
 
 
+def test_permpoly_huge_exponent_agrees_with_oracle(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    for poly, permutes in (("X^1000000", False), ("X^1000001 + 3", True)):
+        path.write_text(f"field: n=4\npoly: {poly}\n")
+        code, doc = run_json(capsys, "permpoly", path)
+        assert doc["permutation"] is permutes and code == (0 if permutes else 1)
+        orc_code, orc = run_json(capsys, "oracle", path)
+        assert (orc_code, orc["permutation"]) == (code, permutes)
+    assert doc["poly"] == "X^11 + 3"  # the echo shows the folded exponent
+
+
 def test_oracle_map_agrees_with_invert(capsys):
     code, doc = run_json(capsys, "oracle", QUAD)
     assert code == 1
@@ -191,6 +202,29 @@ def test_implicants_shift_graph(capsys):
     assert doc["count"] == 8
     assert doc["satisfying_total"] == 8
     assert len(doc["terms"]) == 8
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    """One parser serves every call: no flag or subcommand leaks into the next."""
+    calls = [
+        ["goe", QUAD, "--format", "json", "--max-enum", "4"],
+        ["goe", QUAD],
+        ["unique", UNIQUE_SYS, "--bound", "1", "--format", "json"],
+        ["permpoly", CUBE_F16],
+        ["invert", SHIFT, "--format", "xml"],
+        ["oracle", MULTI_SYS, "--format", "json"],
+        ["implicants", SHIFT, "--bound", "2"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a bad flag this way
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "boolinv.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 
 def test_timing_goes_to_stderr_only(capsys):

@@ -10,11 +10,10 @@ from boolinv.gf2n import (
     FieldElem,
     FieldSpec,
     UniPoly,
+    _is_irreducible,
     coordinate_functions,
-    gf_add,
-    gf_mul,
-    gf_pow,
     is_permutation_polynomial,
+    moebius,
 )
 from boolinv.oracle import TruthTable
 
@@ -51,18 +50,18 @@ def test_cube_of_generator_in_f8():
 def test_characteristic_two_and_identity():
     spec = FieldSpec.default(4)
     a = spec.element(0b1011)
-    assert gf_add(a, a).is_zero
-    assert gf_mul(a, spec.one()) == a
-    assert gf_pow(a, 0) == spec.one()
+    assert (a + a).is_zero
+    assert a * spec.one() == a
+    assert a**0 == spec.one()
 
 
 def test_mixed_field_operands_rejected():
     a = FieldSpec.default(3).element(1)
     b = FieldSpec.default(4).element(1)
     with pytest.raises(ValueError):
-        gf_add(a, b)
+        a + b
     with pytest.raises(ValueError):
-        gf_mul(a, b)
+        a * b
 
 
 def test_element_range_check():
@@ -127,18 +126,47 @@ def test_frobenius_coordinates_in_f4():
 
 
 def test_coordinate_round_trip_random_polys():
-    rng = random.Random(37)
-    for n in (3, 4):
-        spec = FieldSpec.default(n)
+    """The log/exp value table against ``UniPoly.evaluate``, point by point.
+
+    Every irreducible modulus of degree 1..6 is used, so moduli under which
+    x is not primitive (0b11111: x has order 5) are covered.  Short dense
+    polynomials are mixed with long sparse ones that carry constant terms,
+    zero coefficients and exponents >= 2^n - 1.
+    """
+    rng = random.Random(43)
+    moduli = [
+        (n, m) for n in range(1, 7) for m in range(1 << n, 1 << (n + 1))
+        if _is_irreducible(m, n)
+    ]
+    assert (4, 0b11111) in moduli
+    for n, m in moduli:
+        spec = FieldSpec(n, m)
         uni = mask_of(range(n))
-        for _ in range(10):
-            p = UniPoly.of(
-                spec, [rng.randrange(spec.order) for _ in range(rng.randint(1, 6))]
-            )
-            F = coordinate_functions(p)
-            for v in range(spec.order):
-                a = Assignment(uni, v)
-                assert F.evaluate(a) == p.evaluate(spec.element(v)).value
+        for _ in range(2):
+            short = [rng.randrange(spec.order) for _ in range(rng.randint(1, 6))]
+            long = [
+                rng.randrange(1, spec.order) if rng.random() < 0.2 else 0
+                for _ in range(rng.randint(spec.order, 2 * spec.order + 2))
+            ]
+            long[0] = rng.randrange(spec.order)
+            long[-1] = rng.randrange(1, spec.order)
+            for values in (short, long):
+                p = UniPoly.of(spec, values)
+                F = coordinate_functions(p)
+                for v in range(spec.order):
+                    x = spec.element(v)
+                    assert F.evaluate(Assignment(uni, v)) == p.evaluate(x).value
+
+
+def test_bit_sliced_moebius_matches_oracle_transform():
+    rng = random.Random(47)
+    for n in range(1, 11):
+        uni = mask_of(range(n))
+        for bits in (0, (1 << (1 << n)) - 1, *(rng.getrandbits(1 << n) for _ in range(6))):
+            coeffs = moebius(bits, n)
+            assert coeffs >> (1 << n) == 0
+            monomials = frozenset(i for i in range(1 << n) if coeffs >> i & 1)
+            assert monomials == TruthTable(bits, uni).to_anf().monomials
 
 
 def test_truth_table_transform_is_involutive_on_coordinates():

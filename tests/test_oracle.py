@@ -1,10 +1,13 @@
 """Exhaustive-oracle internals: truth tables, Moebius transform, audits."""
 
+import ast
 import itertools
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import boolinv
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of
 from boolinv.oracle import (
     TruthTable,
@@ -146,3 +149,23 @@ def test_brute_image_respects_cap():
     F = _tiny_map(coords, 17)
     with pytest.raises(ValueError):
         brute_image(F)
+
+
+def test_only_the_front_end_imports_the_oracle():
+    """The production path must not lean on the referee it is checked against."""
+    package = Path(boolinv.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:  # relative to the package
+                    base = "boolinv" + (f".{base}" if base else "")
+                targets = [base] + [f"{base}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            else:
+                continue
+            if "boolinv.oracle" in targets:
+                importers.add(path.stem)
+    assert importers == {"cli", "__init__"}

@@ -1,5 +1,7 @@
 """Problem-file grammar: happy paths, error positions, round-trips."""
 
+import time
+
 import pytest
 
 from boolinv.algebra import Anf, BoolSystem, Term, mask_of
@@ -65,6 +67,17 @@ def test_parse_poly_repeated_exponent_accumulates():
     p = parse_text("field: n=3\npoly: X^2 + 3*X^2 + 1\n")
     # 1 + 3 = 2 in the field
     assert [c.value for c in p.poly.coefficients] == [1, 0, 2]
+
+
+def test_parse_poly_folds_large_exponents():
+    started = time.perf_counter()
+    p = parse_text("field: n=4\npoly: X^1000000 + 3*X^15 + X^0\n")
+    assert time.perf_counter() - started < 1.0
+    # 1000000 = 10 (mod 15), and X^15 stays X^15: it is 1 off the origin
+    assert p.poly.degree == 15
+    assert format_poly(p.poly) == "3*X^15 + X^10 + 1"
+    # X^16 = X at every point of GF(16)
+    assert parse_text("field: n=4\npoly: X^16 + X\n").poly.degree == -1
 
 
 def test_comments_and_blank_lines_ignored():
