@@ -9,7 +9,6 @@ and the oracle build their own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -50,6 +49,22 @@ def vars_of(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask`` in canonical order, in O(1) memory.
+
+    The lowest variable is the most significant digit and 0 comes before
+    1, so the points of a cube come out in the order of their minterms'
+    ``Term.sort_key``.  Each step adds one at the least significant digit
+    that is 0 (the highest free variable) and clears the digits below it.
+    """
+    p = 0
+    yield p
+    while p != mask:
+        h = 1 << ((mask & ~p).bit_length() - 1)
+        p = (p & (h - 1)) | h
+        yield p
 
 
 class _ContradictionType:
@@ -177,15 +192,9 @@ class Term:
 
     def expand(self, universe: int) -> Iterator["Term"]:
         """All minterms of the universe contained in this cube, in canonical order."""
-        free = vars_of(universe & ~self.vars_mask)
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            pos, neg = self.pos, self.neg
-            for v, b in zip(free, bits):
-                if b:
-                    pos |= 1 << v
-                else:
-                    neg |= 1 << v
-            yield Term(pos, neg)
+        free = universe & ~self.vars_mask
+        for s in submasks(free):
+            yield Term(self.pos | s, self.neg | (free ^ s))
 
     def sort_key(self) -> tuple[int, ...]:
         """Canonical order: ``2*var + polarity`` per literal, ascending var.
@@ -196,14 +205,14 @@ class Term:
         return tuple(2 * v + ((pos >> v) & 1) for v in vars_of(pos | self.neg))
 
     def to_anf(self, universe: int | None = None) -> "Anf":
-        """The cube as a polynomial: product of x_i and (x_j + 1) factors."""
+        """The cube as a polynomial: product of x_i and (x_j + 1) factors.
+
+        Expanded, that product is the sum of ``pos | s`` over every subset
+        ``s`` of ``neg``; the monomials are distinct, so none cancel.
+        """
         if universe is None:
             universe = self.vars_mask
-        f = Anf.one(universe)
-        for v, b in self.literals():
-            lit = Anf.variable(v, universe)
-            f = f * (lit if b else lit ^ Anf.one(universe))
-        return f
+        return Anf(frozenset(self.pos | s for s in submasks(self.neg)), universe)
 
 
 def _sorted_monomial(mask: int) -> tuple:
@@ -406,11 +415,6 @@ class ImplicantSet:
             out.extend(t.expand(self.universe))
         out.sort(key=Term.sort_key)
         return out
-
-
-def term_conjoin(t1: Term, t2: Term) -> Term | _ContradictionType:
-    """Product of two terms; CONTRADICTION when their cubes are disjoint."""
-    return t1.conjoin(t2)
 
 
 def is_implicant(t: Term, sys: BoolSystem) -> bool:

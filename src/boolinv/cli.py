@@ -67,10 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-enum", type=int, default=1 << 20, metavar="N",
         help="cap on explicitly enumerated points (default 2^20)",
     )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="echoed in diagnostics; used by corpus tooling only",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
         ("implicants", "complete orthogonal implicant cover of a system or map graph"),
@@ -153,10 +149,18 @@ def _run_implicants(problem: Problem, args) -> tuple[dict, list[str], bool]:
     return doc, lines, False
 
 
-def _verdict_doc(command: str, verdict, table: VarTable) -> tuple[dict, list[str], bool]:
+def _run_verdict(problem: Problem, args):
+    F, table = _need_map(problem, args.command)
+    # built per call from the module globals, so a rebound global is the one called
+    decide = {
+        "invert": is_invertible_square,
+        "one2one": is_one_to_one_general,
+        "diag": is_one_to_one_diagonal,
+    }[args.command]
+    verdict = decide(F, _cfg(args))
     doc = {
         "schema": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "problem": "map",
         "inputs": list(table.inputs),
         "outputs": list(table.outputs),
@@ -171,22 +175,8 @@ def _verdict_doc(command: str, verdict, table: VarTable) -> tuple[dict, list[str
     return doc, lines, not verdict.one_to_one
 
 
-def _run_invert(problem: Problem, args):
-    F, table = _need_map(problem, "invert")
-    return _verdict_doc("invert", is_invertible_square(F, _cfg(args)), table)
-
-
-def _run_one2one(problem: Problem, args):
-    F, table = _need_map(problem, "one2one")
-    return _verdict_doc("one2one", is_one_to_one_general(F, _cfg(args)), table)
-
-
-def _run_diag(problem: Problem, args):
-    F, table = _need_map(problem, "diag")
-    return _verdict_doc("diag", is_one_to_one_diagonal(F, _cfg(args)), table)
-
-
-def _run_complement(problem: Problem, args, command: str):
+def _run_complement(problem: Problem, args):
+    command = args.command
     F, table = _need_map(problem, command)
     fn = goe if command == "goe" else coi
     res = fn(F, _cfg(args), max_points=args.max_enum)
@@ -307,12 +297,12 @@ def _run_oracle(problem: Problem, args):
 
 _HANDLERS = {
     "implicants": _run_implicants,
-    "invert": _run_invert,
-    "goe": lambda p, a: _run_complement(p, a, "goe"),
-    "one2one": _run_one2one,
-    "coi": lambda p, a: _run_complement(p, a, "coi"),
+    "invert": _run_verdict,
+    "goe": _run_complement,
+    "one2one": _run_verdict,
+    "coi": _run_complement,
     "unique": _run_unique,
-    "diag": _run_diag,
+    "diag": _run_verdict,
     "permpoly": _run_permpoly,
     "oracle": _run_oracle,
 }
@@ -338,10 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print("\n".join(lines))
     elapsed = time.perf_counter() - started
-    seed = "" if args.seed is None else f" seed={args.seed}"
     print(
-        f"[boolinv] {args.command} bound={args.bound}"
-        f"{seed} elapsed={elapsed:.3f}s",
+        f"[boolinv] {args.command} bound={args.bound} elapsed={elapsed:.3f}s",
         file=sys.stderr,
     )
     return 1 if negative else 0

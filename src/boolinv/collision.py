@@ -10,10 +10,9 @@ method is exponential in n by nature and stays desk scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, submasks
 from .engine import EngineConfig, implicants
 from .maps import BoolMap, Verdict
 
@@ -75,11 +74,8 @@ def diagonal_set(n: int, cap: int = DEFAULT_DIAGONAL_CAP) -> DiagonalSet:
         raise ValueError(f"2**{n} paired minterms exceed the enumeration cap 2**{cap}")
     full = mask_of(range(2 * n))
     pairs = []
-    for bits in itertools.product((0, 1), repeat=n):
-        trues = 0
-        for v, b in enumerate(bits):
-            if b:
-                trues |= (1 << v) | (1 << (n + v))
+    for x in submasks(full >> n):
+        trues = x | (x << n)
         pairs.append(Term(trues, full & ~trues))
     return DiagonalSet(tuple(pairs), n)
 

@@ -7,8 +7,9 @@ in breadth-first order over shared variables, and cofactors the other
 as a residual factor becomes 0 or two of them force one variable both
 ways, the unit propagation of DPLL.  It then goes on with the residual
 system under every live cross term.  When no factor is small enough it
-falls back to a Boole-Shannon split.  The decomposition runs on an
-explicit stack, so its depth is not bounded by the interpreter's.
+falls back to a Boole-Shannon split, crossing the split variable's two
+literals the same way.  The decomposition runs on an explicit stack, so
+its depth is not bounded by the interpreter's.
 
 The leaf is bit-sliced: each factor over a support of k variables becomes
 a 2**k-bit truth table held in one integer, built from cached per-variable
@@ -238,47 +239,51 @@ def _cofactor_near(
 
 
 def _branches(sys: BoolSystem, cfg: EngineConfig) -> list[tuple[Term, BoolSystem]]:
-    """Orthogonal seed terms with the residual system under each.
+    """Orthogonal seed terms with the live residual system under each.
 
-    The packed factors are crossed one at a time, each partial branch
-    carrying its seed and the cofactors of the residual factors that are
-    not constant 1.  After each packed factor only the residual factors
-    sharing a variable with it are cofactored, and a branch is dropped
-    as soon as one of them is 0 or two single-literal cofactors clash.
-    A dropped branch has an unsatisfiable residual, so the cover is the
-    one the full product of the packed covers gives.
+    The covers are crossed one at a time, each partial branch carrying
+    its seed and the cofactors of the residual factors that are not
+    constant 1.  After each cover only the residual factors sharing a
+    variable with it are cofactored, and a branch is dropped as soon as
+    one of them is 0 or two single-literal cofactors clash.  A dropped
+    branch has an unsatisfiable residual, so the cover is the one the
+    full product of the crossed covers gives.  The covers are those of
+    the packed factors, or for a Shannon split the two literals of the
+    split variable, with every factor residual.
     """
     plan = select_disjoint_clusters(sys, cfg)
-    if plan.split_var is not None:
-        v = plan.split_var
-        return [
-            (t, sys.ratio(t)) for t in (Term.of((v, 0)), Term.of((v, 1)))
-        ]
     factors = sys.factors
-    residual = plan.residual
-    order = plan.disjoint_factors
+    split = plan.split_var
+    residual = plan.residual if split is None else range(len(factors))
     occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
-    near: dict[int, list[int]] = {}  # packed factor -> residual factors sharing a variable
     if residual:
         factor_vars = [vars_of(h.support) for h in factors]
         for i, vs in enumerate(factor_vars):
             for v in vs:
                 occurs.setdefault(v, []).append(i)
-        is_residual = set(residual)
-        for i in order:
-            near[i] = list({k for v in factor_vars[i] for k in occurs[v] if k in is_residual})
-        if len(order) > 1:
-            order = _crossing_order(order, factor_vars, occurs)
+    if split is None:
+        order = plan.disjoint_factors
+        near: dict[int, list[int]] = {}  # packed factor -> residual factors sharing a variable
+        if residual:
+            is_residual = set(residual)
+            for i in order:
+                near[i] = list({k for v in factor_vars[i] for k in occurs[v] if k in is_residual})
+            if len(order) > 1:
+                order = _crossing_order(order, factor_vars, occurs)
+        covers = (
+            (impl_for_simple(factors[i], cfg.base_bound_m).terms, near.get(i, ())) for i in order
+        )
+    else:
+        bit = 1 << split
+        covers = (((Term(0, bit), Term(bit, 0)), occurs[split]),)
     partial = [(0, 0, {i: factors[i] for i in residual})]
-    for i in order:
+    for terms, near_i in covers:
         grown = []
-        terms = impl_for_simple(factors[i], cfg.base_bound_m).terms
-        near_i = near.get(i, ())
         for pos, neg, res in partial:
             for t in terms:
                 sub = _cofactor_near(res, near_i, t, occurs)
                 if sub is not None:
-                    # packed factors have disjoint supports, so their terms never clash
+                    # crossed covers have disjoint supports, so their terms never clash
                     grown.append((pos | t.pos, neg | t.neg, sub))
         partial = grown
     return [
@@ -300,23 +305,21 @@ def _solve(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> li
     """Each seed ANDed with each cover term of the system under it.
 
     That system is cofactored by its seed and no longer mentions the
-    seed's variables, so no product is a contradiction.  An explicit
-    stack replaces recursion, so the depth of the decomposition is not
-    limited by the interpreter's.  Terms come in canonical order only
-    when one leaf scan made them all.
+    seed's variables, so no product is a contradiction.  The entry
+    branches are made live here; those ``_branches`` returns already
+    are.  An explicit stack replaces recursion, so the depth of the
+    decomposition is not limited by the interpreter's.  Terms come in
+    canonical order only when one leaf scan made them all.
     """
     out: list[Term] = []
-    stack = list(branches)
+    stack = [(seed, live) for seed, sys in branches if (live := _live(sys)) is not None]
     while stack:
         seed, sys = stack.pop()
-        live = _live(sys)
-        if live is None:
-            continue
-        if live.support.bit_count() <= cfg.base_bound_m:
-            for s in impl_for_simple(live, cfg.base_bound_m).terms:
+        if sys.support.bit_count() <= cfg.base_bound_m:
+            for s in impl_for_simple(sys, cfg.base_bound_m).terms:
                 out.append(Term(seed.pos | s.pos, seed.neg | s.neg))
         else:
-            for t, sub in _branches(live, cfg):
+            for t, sub in _branches(sys, cfg):
                 stack.append((Term(seed.pos | t.pos, seed.neg | t.neg), sub))
     return out
 

@@ -10,11 +10,10 @@ complement of the image without enumerating inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, submasks
 from .engine import EngineConfig, implicants
 
 #: Explicit complement-of-image points are materialized only below this.
@@ -165,10 +164,6 @@ def graph_implicants(
     return out, cover
 
 
-def _packed_y(s: Term, F: BoolMap) -> int:
-    return s.pos >> F.n_in
-
-
 def _collision_witness(
     gis: list[GraphImplicant], F: BoolMap
 ) -> tuple[Assignment, Assignment] | None:
@@ -181,7 +176,7 @@ def _collision_witness(
     x_mask = F.x_universe
     first_by_y: dict[int, GraphImplicant] = {}
     for gi in gis:
-        y = _packed_y(gi.s, F)
+        y = gi.s.pos  # s fixes every output, so its plain part names it
         if y in first_by_y:
             other = first_by_y[y]
             return (
@@ -202,7 +197,7 @@ def _collision_witness(
 
 def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
     gis, _ = graph_implicants(F, cfg)
-    count = len({_packed_y(gi.s, F) for gi in gis})
+    count = len({gi.s.pos for gi in gis})
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
     witness = _collision_witness(gis, F)
@@ -235,7 +230,7 @@ def _image_complement(
     distinct = sorted(
         {gi.s for gi in gis}, key=Term.sort_key
     )
-    image = {_packed_y(s, F) for s in distinct}
+    image = {s.pos for s in distinct}
     y_mask = F.y_universe
     m = F.m_out
     size = (1 << m) - len(image)
@@ -243,16 +238,9 @@ def _image_complement(
     system = BoolSystem(factors, y_mask)
     points: tuple[Assignment, ...] | None = None
     if (1 << m) <= max_points:
-        acc = []
-        for bits in itertools.product((0, 1), repeat=m):
-            packed = 0
-            for j, b in enumerate(bits):
-                if b:
-                    packed |= 1 << j
-            if packed not in image:
-                trues = packed << F.n_in
-                acc.append(Assignment(y_mask, trues))
-        points = tuple(acc)
+        points = tuple(
+            Assignment(y_mask, trues) for trues in submasks(y_mask) if trues not in image
+        )
     return ComplementResult(size=size, system=system, points=points)
 
 

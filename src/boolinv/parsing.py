@@ -165,7 +165,12 @@ def _parse_poly(body: str, offset: int, lineno: int, spec: FieldSpec) -> UniPoly
                 raise ParseError("operator expected before 'X'", lineno, col)
             if term_exp is not None:
                 raise ParseError("repeated X factor in one term", lineno, col)
-            term_exp = int(tok[2:]) if len(tok) > 1 else 1
+            try:
+                term_exp = int(tok[2:]) if len(tok) > 1 else 1
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise ParseError(
+                    f"exponent of {len(tok) - 2} digits is too long", lineno, col
+                ) from None
             expect_atom = False
         elif re.fullmatch(r"[0-9a-fA-F]+", tok):
             if not expect_atom:
@@ -193,9 +198,12 @@ def _parse_field(body: str, offset: int, lineno: int) -> FieldSpec:
         if not eq or key not in ("n", "modulus"):
             raise ParseError(f"expected n=... or modulus=..., got '{tok}'", lineno, col)
         if key == "n":
-            if not value.isdigit():
+            if not re.fullmatch(r"[0-9]+", value):
                 raise ParseError(f"invalid degree '{value}'", lineno, col)
-            n = int(value)
+            try:
+                n = int(value)
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise ParseError(f"degree of {len(value)} digits is too long", lineno, col) from None
         else:
             if not re.fullmatch(r"[01]+", value):
                 raise ParseError(

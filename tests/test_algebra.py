@@ -17,10 +17,19 @@ from boolinv.algebra import (
     is_implicant,
     mask_of,
     og_sum_is_tautology,
+    submasks,
     vars_of,
 )
 
 X1, X2, X3, X4 = 0, 1, 2, 3
+
+
+def product_points(vs: list[int]) -> list[int]:
+    """Reference enumeration: itertools.product, first variable most significant."""
+    return [
+        sum(1 << v for v, b in zip(vs, bits) if b)
+        for bits in itertools.product((0, 1), repeat=len(vs))
+    ]
 
 
 def test_mask_roundtrip():
@@ -70,6 +79,27 @@ def test_term_expand_enumerates_contained_minterms():
     assert all(m.fixes(uni) for m in minterms)
     assert all((m.neg >> X2) & 1 for m in minterms)
     assert len(set(minterms)) == 4
+    rng = random.Random(5)
+    for n in range(1, 7):
+        uni = mask_of(range(n))
+        for _ in range(20):
+            fixed = rng.sample(range(n), rng.randint(0, n))
+            t = Term.of(*((v, rng.randint(0, 1)) for v in fixed))
+            free = uni & ~t.vars_mask
+            expected = [Term(t.pos | p, t.neg | (free ^ p)) for p in product_points(vars_of(free))]
+            assert list(t.expand(uni)) == expected
+
+
+def test_submasks_in_minterm_sort_key_order():
+    rng = random.Random(11)
+    masks = [0, 0b1, 0b1111, 0b111000, 0b1010010, 1 << 40 | 1 << 3]
+    masks += [rng.getrandbits(14) for _ in range(30)]
+    for mask in masks:
+        subs = list(submasks(mask))
+        bits = [1 << v for v in vars_of(mask)]
+        every = [sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)]
+        assert subs == sorted(every, key=lambda p: Term.minterm(mask, p).sort_key())
+        assert subs == product_points(vars_of(mask))
 
 
 def test_term_assignment_requires_full_fixing():

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import boolinv
 import boolinv.cli
 import boolinv.maps
 from boolinv.algebra import Assignment, MissingVariableError
@@ -15,6 +17,7 @@ from boolinv.cli import main
 from boolinv.parsing import parse_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 SHIFT = str(FIXTURES / "shift.txt")
 QUAD = str(FIXTURES / "quad.txt")
@@ -158,6 +161,14 @@ def test_permpoly_huge_exponent_agrees_with_oracle(capsys, tmp_path):
         orc_code, orc = run_json(capsys, "oracle", path)
         assert (orc_code, orc["permutation"]) == (code, permutes)
     assert doc["poly"] == "X^11 + 3"  # the echo shows the folded exponent
+
+
+def test_permpoly_exponent_past_int_string_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("field: n=4\npoly: X^" + "1" * 5000 + "\n")
+    code, out, err = run(capsys, "permpoly", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2, column 7: exponent of 5000 digits")
 
 
 def test_oracle_map_agrees_with_invert(capsys):
@@ -309,3 +320,43 @@ def test_module_invocation_runs():
         text=True,
     )
     assert proc.returncode == 1
+
+
+def _bindings() -> dict:
+    """Every attribute of the boolinv modules and of the classes the tracer patches."""
+    from boolinv.algebra import Anf, Term
+    from boolinv.oracle import TruthTable
+
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name == "boolinv" or name.startswith("boolinv."):
+            out.update({(name, k): v for k, v in vars(module).items()})
+    for cls in (Anf, Term, TruthTable):
+        out.update({(cls.__name__, k): v for k, v in vars(cls).items()})
+    return out
+
+
+def test_trace_hooks_see_every_layer(capsys):
+    # the per-layer metrics read 0 if a traced name is renamed or bypassed
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert boolinv.cli.main is not before[("boolinv.cli", "main")]
+        assert boolinv.cli.main(["goe", QUAD, "--format", "json"]) == 0
+        size = json.loads(capsys.readouterr().out)["size"]
+        assert boolinv.cli.main(["unique", UNIQUE_SYS]) == 0
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    metrics = tracing.layer_metrics(*tracer.take())
+    assert size == 6
+    assert metrics["maps.complement_points"] == size
+    assert metrics["engine.leaf_calls"] > 0
+    assert metrics["engine.implicants_s"] > 0
+    assert metrics["algebra.anf_mul_calls"] == 0

@@ -1,5 +1,6 @@
 """Collision-system method: doubled variables, diagonal containment."""
 
+import itertools
 import random
 
 import pytest
@@ -62,6 +63,13 @@ def test_diagonal_set_n2_contains_mixed_minterm():
 def test_diagonal_set_sizes_and_cap():
     for n in range(1, 11):
         assert len(diagonal_set(n)) == 1 << n
+    for n in range(1, 7):
+        full = mask_of(range(2 * n))
+        expected = []
+        for bits in itertools.product((0, 1), repeat=n):  # x1 most significant
+            trues = sum((1 << v) | (1 << (n + v)) for v, b in enumerate(bits) if b)
+            expected.append(Term(trues, full & ~trues))
+        assert diagonal_set(n).pairs == tuple(expected)
     with pytest.raises(ValueError):
         diagonal_set(17)
 

@@ -9,6 +9,8 @@ import pytest
 
 from functools import reduce
 
+import boolinv.engine
+
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, vars_of
 from boolinv.cli import main
 from boolinv.engine import (
@@ -352,7 +354,15 @@ def _xor_pair_system(rng: random.Random, n: int) -> BoolSystem:
     return BoolSystem(tuple(factors), uni)
 
 
-def test_pruned_cross_matches_product_cross():
+def test_pruned_cross_matches_product_cross(monkeypatch):
+    splits = []  # the engine's Shannon split plans, which share the cross loop
+
+    def counting_plan(sys, cfg):
+        plan = select_disjoint_clusters(sys, cfg)
+        splits.append(plan.split_var is not None)
+        return plan
+
+    monkeypatch.setattr(boolinv.engine, "select_disjoint_clusters", counting_plan)
     rng = random.Random(4)
     systems = []
     for k in range(300):
@@ -373,6 +383,7 @@ def test_pruned_cross_matches_product_cross():
             cover = implicants(sys, cfg)
             assert cover == _product_cross_cover(sys, cfg)  # terms and their order
             empty += not cover.terms
+    assert sum(splits) > 0
     assert 0 < empty < len(systems) * 3  # satisfiable and unsatisfiable cases both occur
 
 

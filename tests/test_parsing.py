@@ -80,6 +80,18 @@ def test_parse_poly_folds_large_exponents():
     assert parse_text("field: n=4\npoly: X^16 + X\n").poly.degree == -1
 
 
+def test_numbers_past_the_int_string_limit_are_parse_errors():
+    digits = "1" * 5000
+    with pytest.raises(ParseError, match="exponent of 5000 digits") as err:
+        parse_text(f"field: n=4\npoly: X + X^{digits}\n")
+    assert (err.value.line, err.value.column) == (2, 11)
+    with pytest.raises(ParseError, match="degree of 5000 digits") as err:
+        parse_text(f"field: n={digits}\npoly: X\n")
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError, match="invalid degree"):
+        parse_text("field: n=\u00b2\npoly: X\n")  # a digit that int() refuses
+
+
 def test_comments_and_blank_lines_ignored():
     p = parse_text("\n# header\nvars: u v  # trailing\n0 = u*v + 1\n\n")
     assert isinstance(p, SystemProblem)
