@@ -204,16 +204,6 @@ class Term:
         pos = self.pos
         return tuple(2 * v + ((pos >> v) & 1) for v in vars_of(pos | self.neg))
 
-    def to_anf(self, universe: int | None = None) -> "Anf":
-        """The cube as a polynomial: product of x_i and (x_j + 1) factors.
-
-        Expanded, that product is the sum of ``pos | s`` over every subset
-        ``s`` of ``neg``; the monomials are distinct, so none cancel.
-        """
-        if universe is None:
-            universe = self.vars_mask
-        return Anf(frozenset(self.pos | s for s in submasks(self.neg)), universe)
-
 
 def _sorted_monomial(mask: int) -> tuple:
     # constant monomial renders last; others by (degree, variable tuple)

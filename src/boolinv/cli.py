@@ -17,6 +17,7 @@ import time
 from .algebra import Assignment, MissingVariableError
 from .engine import MAX_BOUND, EngineConfig, implicants
 from .maps import (
+    DEFAULT_MAX_POINTS,
     BoolMap,
     Uniqueness,
     build_graph_system,
@@ -36,7 +37,6 @@ from .parsing import (
     Problem,
     SystemProblem,
     VarTable,
-    format_anf,
     format_assignment,
     format_poly,
     format_term,
@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result document format (default text)",
     )
     common.add_argument(
-        "--max-enum", type=int, default=1 << 20, metavar="N",
-        help="cap on explicitly enumerated points (default 2^20)",
+        "--max-enum", type=int, default=DEFAULT_MAX_POINTS, metavar="N",
+        help="cap on explicitly enumerated points (default and maximum 2^20)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
@@ -183,7 +183,8 @@ def _run_complement(problem: Problem, args):
     points = None
     if res.points is not None:
         points = [_y_bitstring(p, F) for p in res.points]
-    factors = [format_anf(h, table) + " = 1" for h in res.system.factors]
+    # the paper's s_i' = 1 for every image minterm s_i, written s_i = 0
+    factors = [format_term(s, table) + " = 0" for s in res.image]
     doc = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -313,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         _cfg(args)  # refuse a bad --bound before reading the file
+        if not 0 <= args.max_enum <= DEFAULT_MAX_POINTS:
+            raise ValueError(f"--max-enum must be in 0..{DEFAULT_MAX_POINTS}")
         problem = parse_file(args.file)
         doc, lines, negative = _HANDLERS[args.command](problem, args)
     except (ParseError, ValueError, OSError) as exc:

@@ -68,8 +68,6 @@ def build_collision_system(F: BoolMap) -> CollisionSystem:
 
 def diagonal_set(n: int, cap: int = DEFAULT_DIAGONAL_CAP) -> DiagonalSet:
     """Explicit diagonal of the doubled space; size 2**n forces the cap."""
-    if n < 1:
-        raise ValueError("diagonal needs at least one variable")
     if n > cap:
         raise ValueError(f"2**{n} paired minterms exceed the enumeration cap 2**{cap}")
     full = mask_of(range(2 * n))

@@ -108,15 +108,16 @@ class UniqueSolutionResult:
 
 @dataclass(frozen=True)
 class ComplementResult:
-    """Outputs with no preimage: explicit points plus a symbolic system.
+    """Outputs with no preimage: explicit points plus the image minterms.
 
-    ``points`` is None when the output space exceeds the enumeration
-    cap; ``system`` (factors s_i' = 1 over the Y variables) and ``size``
-    are always available.
+    ``image`` holds the distinct output minterms s_i in canonical order;
+    y has no preimage exactly when s_i'(y) = 1 for every i.  ``points``
+    is None when the output space exceeds the enumeration cap; ``image``
+    and ``size`` are always available.
     """
 
     size: int
-    system: BoolSystem
+    image: tuple[Term, ...]
     points: tuple[Assignment, ...] | None
 
     @property
@@ -227,21 +228,16 @@ def _image_complement(
     F: BoolMap, cfg: EngineConfig | None, max_points: int
 ) -> ComplementResult:
     gis, _ = graph_implicants(F, cfg)
-    distinct = sorted(
-        {gi.s for gi in gis}, key=Term.sort_key
-    )
-    image = {s.pos for s in distinct}
+    image = tuple(sorted({gi.s for gi in gis}, key=Term.sort_key))
     y_mask = F.y_universe
-    m = F.m_out
-    size = (1 << m) - len(image)
-    factors = tuple(~s.to_anf(y_mask) for s in distinct)
-    system = BoolSystem(factors, y_mask)
+    size = (1 << F.m_out) - len(image)
     points: tuple[Assignment, ...] | None = None
-    if (1 << m) <= max_points:
+    if (1 << F.m_out) <= max_points:
+        hit = {s.pos for s in image}  # s fixes every output, so pos names it
         points = tuple(
-            Assignment(y_mask, trues) for trues in submasks(y_mask) if trues not in image
+            Assignment(y_mask, trues) for trues in submasks(y_mask) if trues not in hit
         )
-    return ComplementResult(size=size, system=system, points=points)
+    return ComplementResult(size=size, image=image, points=points)
 
 
 def goe(

@@ -223,15 +223,6 @@ def test_og_sum_rejects_overlapping_family():
         og_sum_is_tautology(overlapping)
 
 
-def test_term_to_anf_roundtrip():
-    uni = mask_of([X1, X2, X3])
-    t = Term.of((X1, 1), (X3, 0))
-    f = t.to_anf(uni)
-    for bits in itertools.product((0, 1), repeat=3):
-        a = Assignment.from_values({X1: bits[0], X2: bits[1], X3: bits[2]})
-        assert f.evaluate(a) == (1 if t.satisfies(a) else 0)
-
-
 def test_sorted_monomials_order():
     uni = mask_of([X1, X2, X3])
     x1, x2, x3 = (Anf.variable(v, uni) for v in (X1, X2, X3))

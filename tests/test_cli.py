@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,11 @@ import boolinv.cli
 import boolinv.maps
 from boolinv.algebra import Assignment, MissingVariableError
 from boolinv.cli import main
-from boolinv.parsing import parse_file
+from boolinv.maps import BoolMap
+from boolinv.oracle import brute_image
+from boolinv.parsing import MapProblem, VarTable, format_problem, parse_file
+
+from conftest import random_map_coords
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -75,7 +80,23 @@ def test_goe_quad_frozen_points(capsys):
     assert code == 0
     assert doc["size"] == 6
     assert doc["points"] == ["0110", "0111", "1000", "1010", "1100", "1111"]
-    assert doc["system"]
+    # one image minterm per equation, in canonical order: y1 most significant
+    assert doc["system"] == [
+        "y1' y2' y3' y4' = 0",
+        "y1' y2' y3' y4 = 0",
+        "y1' y2' y3 y4' = 0",
+        "y1' y2' y3 y4 = 0",
+        "y1' y2 y3' y4' = 0",
+        "y1' y2 y3' y4 = 0",
+        "y1 y2' y3' y4 = 0",
+        "y1 y2' y3 y4 = 0",
+        "y1 y2 y3' y4 = 0",
+        "y1 y2 y3 y4' = 0",
+    ]
+    _, out, _ = run(capsys, "goe", QUAD)
+    text = out.splitlines()
+    start = text.index("defining system:") + 1
+    assert text[start:] == ["  " + e for e in doc["system"]]
 
 
 def test_goe_shift_empty(capsys):
@@ -261,6 +282,50 @@ def test_error_exits(capsys, tmp_path):
     code, _, err = run(capsys, "unique", bad)
     assert code == 2
     assert "error:" in err and "line 2" in err
+
+
+def test_max_enum_outside_cap_exits_2_at_once(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"  # refused before the file is read
+    for value in (str((1 << 20) + 1), "-1"):
+        for command, path in (("coi", missing), ("oracle", QUAD), ("goe", QUAD)):
+            code, out, err = run(capsys, command, path, "--max-enum", value)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --max-enum must be in 0..1048576")
+    code, doc = run_json(capsys, "goe", QUAD, "--max-enum", str(1 << 20))
+    assert code == 0 and len(doc["points"]) == 6
+    assert run(capsys, "oracle", QUAD, "--max-enum", str(1 << 20))[0] == 1
+
+
+def test_map_without_inputs_is_one_to_one_by_every_method(capsys, tmp_path):
+    path = tmp_path / "const.txt"
+    path.write_text("vars:\ny1 = 1\ny2 = 0\n")
+    for command in ("diag", "one2one", "oracle"):
+        code, out, _ = run(capsys, command, path)
+        assert code == 0, command
+        assert out.splitlines()[0] in ("one-to-one: yes", "injective: yes"), command
+    code, doc = run_json(capsys, "coi", path)
+    assert code == 0
+    assert doc["points"] == ["00", "01", "11"]
+    assert doc["system"] == ["y1 y2' = 0"]
+
+
+def test_goe_on_a_14_bit_map_prints_one_cube_per_image_point(capsys, tmp_path):
+    # the expanded ANF system printed 54 MB for this map
+    coords = random_map_coords(random.Random(14), 14, 14, max_degree=2)
+    F = BoolMap.of(coords, 14)
+    names = tuple(f"x{i + 1}" for i in range(14)) + tuple(f"y{i + 1}" for i in range(14))
+    path = tmp_path / "map14.txt"
+    path.write_text(format_problem(MapProblem(F, VarTable(names, 14))))
+    code, out, _ = run(capsys, "goe", path, "--format", "json")
+    assert code == 0
+    assert len(out.encode()) < 1 << 20
+    doc = json.loads(out)
+    assert not any("+" in e for e in doc["system"])
+    image = brute_image(F)
+    assert len(doc["system"]) == len(image)
+    got = {sum(int(ch) << j for j, ch in enumerate(p)) for p in doc["points"]}
+    assert got == set(range(1 << 14)) - image
+    assert doc["size"] == len(got)
 
 
 def test_bound_beyond_cap_exits_2_at_once(capsys):

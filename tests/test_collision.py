@@ -61,9 +61,10 @@ def test_diagonal_set_n2_contains_mixed_minterm():
 
 
 def test_diagonal_set_sizes_and_cap():
-    for n in range(1, 11):
+    for n in range(0, 11):
         assert len(diagonal_set(n)) == 1 << n
-    for n in range(1, 7):
+    assert diagonal_set(0).pairs == (Term(),)
+    for n in range(0, 7):
         full = mask_of(range(2 * n))
         expected = []
         for bits in itertools.product((0, 1), repeat=n):  # x1 most significant

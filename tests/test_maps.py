@@ -27,7 +27,7 @@ from boolinv.maps import (
     split_xy,
     unique_solution,
 )
-from boolinv.oracle import brute_image, brute_injective, brute_solutions, solution_count
+from boolinv.oracle import brute_image, brute_injective, solution_count
 
 from conftest import (
     identity_map,
@@ -147,8 +147,13 @@ def test_goe_matches_brute_complement():
 def test_goe_symbolic_system_defines_the_points():
     F = quad_map()
     res = goe(F)
-    sols = brute_solutions(res.system)
-    assert {a.trues for a in sols} == {p.trues for p in res.points}
+    y_mask = F.y_universe
+    assert all(s.fixes(y_mask) and not s.vars_mask & ~y_mask for s in res.image)
+    assert list(res.image) == sorted(set(res.image), key=Term.sort_key)
+    listed = {p.trues for p in res.points}
+    for trues in range(0, y_mask + 1, 1 << F.n_in):
+        a = Assignment(y_mask, trues)
+        assert (trues in listed) == (not any(s.satisfies(a) for s in res.image))
 
 
 def test_goe_constant_map():

@@ -71,18 +71,6 @@ def test_from_term_counts_cube_points():
         assert t.satisfies(point_assignment(uni, i))
 
 
-def test_term_to_anf_matches_truth_table_transform():
-    rng = random.Random(17)
-    for _ in range(300):
-        n = rng.randint(0, 12)
-        uni = mask_of(range(n))
-        fixed = rng.sample(range(n), rng.randint(0, min(n, 10)))
-        t = Term.of(*((v, rng.randint(0, 1)) for v in fixed))
-        assert t.to_anf(uni) == TruthTable.from_term(t, uni).to_anf()
-    t = Term.of((A, 0), (C, 0))
-    assert t.to_anf() == TruthTable.from_term(t, t.vars_mask).to_anf()
-
-
 def test_validate_accepts_exact_cover():
     uni = mask_of([A, B])
     x, y = Anf.variable(A, uni), Anf.variable(B, uni)
