@@ -15,7 +15,7 @@ import sys
 import time
 
 from .algebra import Assignment, MissingVariableError
-from .engine import MAX_BOUND, EngineConfig, implicants
+from .engine import DEFAULT_BOUND, MAX_BOUND, EngineConfig, implicants
 from .maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
@@ -55,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="problem file (map, system, or polynomial)")
     common.add_argument(
-        "--bound", type=int, default=12, metavar="M",
-        help="max support size solved by direct enumeration "
-        f"(default 12, at most {MAX_BOUND})",
+        "--bound", type=int, default=DEFAULT_BOUND, metavar="M",
+        help="max number of variables one leaf scan enumerates "
+        f"(default {DEFAULT_BOUND}, at most {MAX_BOUND})",
     )
     common.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -113,7 +113,8 @@ def _witness_lines(witness, table: VarTable) -> list[str]:
 
 
 def _y_bitstring(a: Assignment, F: BoolMap) -> str:
-    return "".join(str(a.value(F.y_var(j))) for j in range(F.m_out))
+    # character j is y_j; a parsed map has at least one output
+    return format(a.trues >> F.n_in, f"0{F.m_out}b")[::-1]
 
 
 def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:

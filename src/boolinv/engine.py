@@ -11,11 +11,19 @@ falls back to a Boole-Shannon split, crossing the split variable's two
 literals the same way.  The decomposition runs on an explicit stack, so
 its depth is not bounded by the interpreter's.
 
-The leaf is bit-sliced: each factor over a support of k variables becomes
+The leaf is bit-sliced: each factor over a scan of k variables becomes
 a 2**k-bit truth table held in one integer, built from cached per-variable
-bit patterns; the factor tables are ANDed and the satisfying minterms are
-read off the set bits.  The decomposition collects its terms unordered
-and the top level sorts them once, so output order is canonical.
+bit patterns.  Usually the scan is the whole support: the factor tables
+are ANDed and the satisfying minterms are read off the set bits.  When
+every factor has a variable of its own that occurs in it only as a lone
+monomial, as each y_j does in the graph factor f_j(X) + y_j + 1, the
+factor fixes that variable as a function of the others.  The scan then
+runs over the other variables only, every point is a solution, and each
+solved variable is read off its own factor's table.  So the graph system
+of a map with n inputs is one scan of 2**n points, whatever its number
+of outputs, and the bound counts scanned variables, not the support.
+The decomposition collects its terms unordered and the top level sorts
+them once, so output order is canonical.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Iterable
 
 from .algebra import Anf, BoolSystem, ImplicantSet, Term, vars_of
 
-#: Largest support handled by direct minterm enumeration.
+#: Largest number of variables one leaf scan enumerates.
 DEFAULT_BOUND = 12
 
 #: Largest accepted enumeration bound: a leaf truth table holds 2**k bits.
@@ -34,11 +42,11 @@ MAX_BOUND = 20
 
 
 class BoundExceededError(ValueError):
-    """Function support too large for enumeration; decompose instead."""
+    """Leaf scan over too many variables for enumeration; decompose instead."""
 
     def __init__(self, size: int, bound: int):
         super().__init__(
-            f"support of {size} variables exceeds the enumeration bound {bound}; "
+            f"a scan of {size} variables exceeds the enumeration bound {bound}; "
             "use implicants() to decompose the system first"
         )
         self.size = size
@@ -47,7 +55,7 @@ class BoundExceededError(ValueError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Solver knobs: the largest support solved by one leaf scan."""
+    """Solver knobs: the most variables one leaf scan enumerates."""
 
     base_bound_m: int = DEFAULT_BOUND
 
@@ -85,6 +93,49 @@ def _index_pattern(b: int, k: int) -> int:
     return pattern
 
 
+def _factor_table(monomials: Iterable[int], index_bit: dict[int, int], k: int) -> int:
+    """Truth table over 2**k points of the XOR of ``monomials``."""
+    full = (1 << (1 << k)) - 1
+    acc = 0
+    for m in monomials:
+        t = full
+        for v in vars_of(m):
+            t &= _index_pattern(index_bit[v], k)
+        acc ^= t
+    return acc
+
+
+def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
+    """The variables a leaf scan enumerates, and each factor's solved variable.
+
+    A variable is private-linear when it occurs in exactly one factor and
+    only as a monomial of its own there, as y_j does in the graph factor
+    f_j(X) + y_j + 1.  The factor is 1 exactly when that variable is 1
+    plus the rest of the factor, a function of the other variables.  The
+    highest-indexed private-linear variable is the factor's solved one.
+    When every factor has one, the scan skips the solved variables;
+    otherwise it runs over the whole support and the list is None.
+    """
+    seen = shared = 0
+    for h in factors:
+        shared |= seen & h.support
+        seen |= h.support
+    solved = []
+    scanned = seen
+    for h in factors:
+        private = h.support & ~shared
+        if private:
+            for m in h.monomials:
+                if m & (m - 1):  # a product of two or more variables
+                    private &= ~m
+        if not private:
+            return seen, None
+        p = private.bit_length() - 1
+        solved.append(p)
+        scanned ^= 1 << p
+    return scanned, solved
+
+
 def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
     """All satisfying minterms of ``f``, or of the AND of a system's factors.
 
@@ -93,25 +144,39 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     out in the canonical term order used everywhere else.  Variables the
     conjunction does not depend on are left free, which makes the result
     the minterms over the support of the product polynomial.
+
+    When every factor has a solved variable (see ``_leaf_scan``), the
+    scan runs over the other variables only and ``bound`` limits their
+    number.  Every point is then a solution, with each solved variable
+    read off its own factor, and every support variable is essential.
     """
+    factors = f.factors if isinstance(f, BoolSystem) else (f,)
     support = f.support
-    k = support.bit_count()
+    scanned, solved = _leaf_scan(factors)
+    k = scanned.bit_count()
     limit = min(bound, MAX_BOUND)
     if k > limit:
         raise BoundExceededError(k, limit)
-    factors = f.factors if isinstance(f, BoolSystem) else (f,)
-    vs = vars_of(support)
+    vs = vars_of(scanned)
     index_bit = {v: k - 1 - j for j, v in enumerate(vs)}
-    full = (1 << (1 << k)) - 1
-    table = full
+    if solved is not None:
+        points = [0]  # trues of the scanned variables at each point index
+        for v in reversed(vs):
+            bit = 1 << v
+            points += [t | bit for t in points]
+        for h, p in zip(factors, solved):
+            bit = 1 << p
+            rest = _factor_table(h.monomials - {bit}, index_bit, k)
+            column = format(rest, f"0{1 << k}b")[::-1]  # character i: rest at point i
+            # p = rest + 1
+            points = [t | bit if c == "0" else t for t, c in zip(points, column)]
+        out = [Term(t, support ^ t) for t in points]
+        if vs and min(solved) < vs[-1]:
+            out.sort(key=Term.sort_key)  # a solved variable precedes a scanned one
+        return ImplicantSet(tuple(out), support)
+    table = (1 << (1 << k)) - 1
     for h in factors:
-        acc = 0
-        for m in h.monomials:
-            t = full
-            for v in vars_of(m):
-                t &= _index_pattern(index_bit[v], k)
-            acc ^= t
-        table &= acc
+        table &= _factor_table(h.monomials, index_bit, k)
         if not table:
             return ImplicantSet((), 0)
     essential = support
@@ -309,18 +374,23 @@ def _solve(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> li
     branches are made live here; those ``_branches`` returns already
     are.  An explicit stack replaces recursion, so the depth of the
     decomposition is not limited by the interpreter's.  Terms come in
-    canonical order only when one leaf scan made them all.
+    canonical order: one leaf scan makes its terms so, and the terms of
+    more than one leaf are sorted once at the end.
     """
     out: list[Term] = []
+    leaves = 0
     stack = [(seed, live) for seed, sys in branches if (live := _live(sys)) is not None]
     while stack:
         seed, sys = stack.pop()
-        if sys.support.bit_count() <= cfg.base_bound_m:
+        if _leaf_scan(sys.factors)[0].bit_count() <= cfg.base_bound_m:
+            leaves += 1
             for s in impl_for_simple(sys, cfg.base_bound_m).terms:
                 out.append(Term(seed.pos | s.pos, seed.neg | s.neg))
         else:
             for t, sub in _branches(sys, cfg):
                 stack.append((Term(seed.pos | t.pos, seed.neg | t.neg), sub))
+    if leaves > 1:
+        out.sort(key=Term.sort_key)
     return out
 
 
@@ -331,12 +401,7 @@ def implicants(sys: BoolSystem, cfg: EngineConfig | None = None) -> ImplicantSet
     canonical order, so equal inputs give byte-equal outputs.
     """
     cfg = cfg or EngineConfig()
-    terms = _solve([(Term(), sys)], cfg)
-    # constant factors have empty support, so this is the support _solve
-    # sees; within the bound one leaf scan made the terms in canonical order
-    if sys.support.bit_count() > cfg.base_bound_m:
-        terms.sort(key=Term.sort_key)
-    return ImplicantSet(tuple(terms), sys.universe)
+    return ImplicantSet(tuple(_solve([(Term(), sys)], cfg)), sys.universe)
 
 
 def compose_product(
@@ -351,5 +416,4 @@ def compose_product(
     cfg = cfg or EngineConfig()
     universe = seed.universe | sys_g.universe
     out = _solve([(t, sys_g.ratio(t)) for t in seed.terms], cfg)
-    out.sort(key=Term.sort_key)
     return ImplicantSet(tuple(out), universe)

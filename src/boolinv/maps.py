@@ -52,11 +52,11 @@ class BoolMap:
 
     @property
     def x_universe(self) -> int:
-        return mask_of(range(self.n_in))
+        return (1 << self.n_in) - 1
 
     @property
     def y_universe(self) -> int:
-        return mask_of(range(self.n_in, self.n_in + self.m_out))
+        return ((1 << self.m_out) - 1) << self.n_in
 
     def y_var(self, j: int) -> int:
         return self.n_in + j

@@ -18,6 +18,7 @@ from boolinv.engine import (
     BoundExceededError,
     ClusterPlan,
     EngineConfig,
+    _leaf_scan,
     compose_product,
     impl_for_simple,
     implicants,
@@ -101,18 +102,19 @@ def test_impl_for_simple_constants():
     assert impl_for_simple(Anf.zero()).terms == ()
 
 
+def _cyclic_products(n: int) -> Anf:
+    """x_0 x_1 + x_1 x_2 + ... + x_(n-1) x_0: no variable is linear, so a scan covers all n."""
+    return Anf.from_monomials([(1 << v) | (1 << (v + 1) % n) for v in range(n)], mask_of(range(n)))
+
+
 def test_impl_for_simple_bound():
-    uni = mask_of(range(4))
-    f = Anf.from_monomials([1 << v for v in range(4)], uni)
     with pytest.raises(BoundExceededError):
-        impl_for_simple(f, bound=3)
+        impl_for_simple(_cyclic_products(4), bound=3)
 
 
 def test_impl_for_simple_refuses_support_beyond_max_bound():
-    uni = mask_of(range(MAX_BOUND + 1))
-    f = Anf.from_monomials([1 << v for v in range(MAX_BOUND + 1)], uni)
     with pytest.raises(BoundExceededError):
-        impl_for_simple(f, bound=MAX_BOUND + 5)
+        impl_for_simple(_cyclic_products(MAX_BOUND + 1), bound=MAX_BOUND + 5)
 
 
 def _pointwise_minterms(factors: tuple[Anf, ...]) -> ImplicantSet:
@@ -136,8 +138,19 @@ def _pointwise_minterms(factors: tuple[Anf, ...]) -> ImplicantSet:
     return ImplicantSet(tuple(out), support)
 
 
-def test_impl_for_simple_matches_pointwise_scan():
+def _renumbered_graph_system(rng: random.Random, n: int, m: int) -> BoolSystem:
+    """Graph system of a random map with y_j numbered j and x_i numbered m + i."""
+    uni = mask_of(range(n + m))
+    factors = []
+    for j, f in enumerate(random_map_coords(rng, n, m)):
+        g = Anf.from_monomials([mono << m for mono in f.monomials], uni)
+        factors.append(g ^ Anf.variable(j, uni) ^ Anf.one(uni))
+    return BoolSystem(tuple(factors), uni)
+
+
+def test_impl_for_simple_matches_pointwise_scan(monkeypatch):
     rng = random.Random(2307)
+    systems = []
     for _ in range(300):
         pool = rng.sample(range(24), rng.randint(0, 12))
         factors = []
@@ -147,10 +160,36 @@ def test_impl_for_simple_matches_pointwise_scan():
             if rng.random() < 0.5:  # spread the support over every drawn variable
                 f ^= Anf.from_monomials([1 << v for v in sup], mask_of(sup))
             factors.append(f)
+        systems.append(factors)
+    # graph systems, scanned over the inputs only, and the same with the
+    # outputs numbered first, so that the scan's points need the sort
+    sorted_scans = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 12 - n)
+        graph = build_graph_system(BoolMap.of(random_map_coords(rng, n, m), n))
+        renumbered = _renumbered_graph_system(rng, n, m)
+        scanned, solved = _leaf_scan(renumbered.factors)
+        sorted_scans += scanned >> min(solved) > 0  # a scanned variable above a solved one
+        systems += [list(graph.factors), list(renumbered.factors)]
+    assert sorted_scans > 0
+    for factors in systems:
         expected = _pointwise_minterms(tuple(factors))
-        assert impl_for_simple(BoolSystem.of(factors)) == expected
+        assert impl_for_simple(BoolSystem.of(factors)) == expected  # terms and their order
         if len(factors) == 1:
             assert impl_for_simple(factors[0]) == expected
+
+    leaves = []  # a graph system within the bound is one scan over its inputs
+
+    def counting_leaf(f, bound=boolinv.engine.DEFAULT_BOUND):
+        leaves.append(f)
+        return impl_for_simple(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", counting_leaf)
+    F = BoolMap.of(random_map_coords(rng, 10, 10), 10)
+    cover = implicants(build_graph_system(F))
+    assert len(leaves) == 1
+    assert len(cover) == 1 << 10
 
 
 def test_impl_for_simple_leaves_inessential_variables_free():
@@ -309,7 +348,7 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
     Every combination of packed cover terms is formed first, and the
     residual factors are cofactored by it afterwards, so no branch is
     dropped before it is solved.  Same plan, leaf and final sort as the
-    engine.
+    engine, which count the variables a leaf scan enumerates.
     """
     bound = cfg.base_bound_m
 
@@ -318,7 +357,7 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
         if any(h.is_zero for h in factors):
             return []
         live = BoolSystem(factors, s.universe)
-        if live.support.bit_count() <= bound:
+        if _leaf_scan(live.factors)[0].bit_count() <= bound:
             return list(impl_for_simple(live, bound).terms)
         plan = select_disjoint_clusters(live, cfg)
         if plan.split_var is not None:
@@ -335,7 +374,7 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
         return [seed.conjoin(x) for seed, sub in branches for x in solve(sub)]
 
     terms = solve(sys)
-    if sys.support.bit_count() > bound:
+    if _leaf_scan(sys.factors)[0].bit_count() > bound:
         terms.sort(key=Term.sort_key)
     return ImplicantSet(tuple(terms), sys.universe)
 

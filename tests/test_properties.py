@@ -1,4 +1,4 @@
-"""Property tests: the CLI against the brute-force oracle on generated maps."""
+"""Property tests: the engine and the CLI against the brute-force oracle."""
 
 import contextlib
 import io
@@ -9,10 +9,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolinv.algebra import Anf, mask_of
+from boolinv.algebra import Anf, BoolSystem, mask_of
 from boolinv.cli import main
+from boolinv.engine import EngineConfig, _leaf_scan, implicants
 from boolinv.maps import BoolMap
-from boolinv.oracle import brute_image
+from boolinv.oracle import brute_image, brute_solutions
 from boolinv.parsing import MapProblem, VarTable, format_problem
 
 
@@ -65,3 +66,36 @@ def test_complement_matches_oracle(problem):
             assert len(set(cubes)) == len(cubes) == (1 << m) - len(missing)
             for y in range(1 << m):
                 assert (y in points) == (y not in cubes)
+
+
+@st.composite
+def systems(draw):
+    """Up to 4 factors over at most 8 variables.
+
+    Some factors get a variable of their own as a lone monomial, one that
+    no other factor uses, so they are solved for it; the rest are random.
+    """
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    uni = mask_of(range(n))
+    own = draw(st.lists(st.integers(0, n - 1), max_size=k, unique=True))
+    shared = uni & ~mask_of(own)
+    factors = []
+    for j in range(k):
+        monomials = draw(st.lists(st.integers(0, shared).map(lambda m: m & shared), max_size=6))
+        if j < len(own):
+            monomials.append(1 << own[j])
+        factors.append(Anf.from_monomials(monomials, uni))
+    return BoolSystem(tuple(factors), uni)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(systems(), st.integers(1, 12))
+def test_implicants_match_oracle_at_any_bound(sys, bound):
+    cover = implicants(sys, EngineConfig(base_bound_m=bound))
+    points = {m.pos for t in cover.terms for m in t.expand(sys.universe)}
+    assert points == {a.trues for a in brute_solutions(sys)}
+    assert cover.satisfying_total() == len(points)
+    assert cover.is_pairwise_orthogonal()
+    if _leaf_scan(sys.factors)[0].bit_count() <= bound:  # one leaf scan decides
+        assert cover == implicants(sys, EngineConfig(base_bound_m=12))
