@@ -115,10 +115,6 @@ class Assignment:
             raise MissingVariableError(var)
         return (self.trues >> var) & 1
 
-    def bits(self) -> tuple[int, ...]:
-        """Values in ascending variable order."""
-        return tuple((self.trues >> v) & 1 for v in vars_of(self.universe))
-
     def items(self) -> Iterator[tuple[int, int]]:
         for v in vars_of(self.universe):
             yield v, (self.trues >> v) & 1

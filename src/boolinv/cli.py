@@ -228,7 +228,7 @@ def _run_unique(problem: Problem, args):
 def _run_permpoly(problem: Problem, args):
     if not isinstance(problem, PolyProblem):
         raise ValueError("permpoly expects a polynomial file")
-    ok = is_permutation_polynomial(problem.poly)
+    ok = is_permutation_polynomial(problem.poly, _cfg(args))
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "permpoly",

@@ -4,13 +4,13 @@ The argument copy X~ reuses each coordinate polynomial with every input
 variable i replaced by n + i.  A map is one-to-one exactly when every
 implicant of the collision system lies inside the diagonal x = x~; a
 cube can only lie inside the diagonal by fixing both copies of every
-variable to equal values, so the containment test is structural.  The
-method is exponential in n by nature and stays desk scale.
+variable to equal values, so the containment test is mask arithmetic
+on the cover term: bit i of ``vars_mask & (vars_mask >> n)`` says both
+copies of x_i are fixed, bit i of ``pos ^ (pos >> n)`` that they differ.
+The method is exponential in n by nature and stays desk scale.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, submasks
 from .engine import EngineConfig, implicants
@@ -24,38 +24,11 @@ DEFAULT_DIAGONAL_CAP = 16
 _EXACT_FORM_CAP = 12
 
 
-@dataclass(frozen=True)
-class CollisionSystem:
-    """Constraints f_i(X) = f_i(X~) over the doubled universe."""
-
-    base: BoolSystem
-    n_in: int
-
-    @property
-    def x_universe(self) -> int:
-        return mask_of(range(self.n_in))
-
-    @property
-    def shadow_universe(self) -> int:
-        return mask_of(range(self.n_in, 2 * self.n_in))
-
-
-@dataclass(frozen=True)
-class DiagonalSet:
-    """The 2**n paired minterms forcing X = X~ = a, ascending in a."""
-
-    pairs: tuple[Term, ...]
-    n_in: int
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def _shift_to_shadow(f: Anf, n: int) -> Anf:
     return Anf(frozenset(m << n for m in f.monomials), f.universe << n)
 
 
-def build_collision_system(F: BoolMap) -> CollisionSystem:
+def build_collision_system(F: BoolMap) -> BoolSystem:
     """Factors h_i = f_i(X) + f_i(X~) + 1, each 1 when the outputs agree."""
     n = F.n_in
     uni = mask_of(range(2 * n))
@@ -63,38 +36,31 @@ def build_collision_system(F: BoolMap) -> CollisionSystem:
         f.with_universe(uni) ^ _shift_to_shadow(f, n).with_universe(uni) ^ Anf.one(uni)
         for f in F.coords
     )
-    return CollisionSystem(BoolSystem(factors, uni), n)
+    return BoolSystem(factors, uni)
 
 
-def diagonal_set(n: int, cap: int = DEFAULT_DIAGONAL_CAP) -> DiagonalSet:
-    """Explicit diagonal of the doubled space; size 2**n forces the cap."""
-    if n > cap:
-        raise ValueError(f"2**{n} paired minterms exceed the enumeration cap 2**{cap}")
+def diagonal_set(n: int) -> tuple[Term, ...]:
+    """The 2**n paired minterms forcing X = X~ = a, ascending in a."""
+    if n > DEFAULT_DIAGONAL_CAP:
+        raise ValueError(
+            f"2**{n} paired minterms exceed the enumeration cap 2**{DEFAULT_DIAGONAL_CAP}"
+        )
     full = mask_of(range(2 * n))
-    pairs = []
-    for x in submasks(full >> n):
-        trues = x | (x << n)
-        pairs.append(Term(trues, full & ~trues))
-    return DiagonalSet(tuple(pairs), n)
+    return tuple(Term.minterm(full, x | (x << n)) for x in submasks(full >> n))
 
 
 def collision_implicants(
     F: BoolMap, cfg: EngineConfig | None = None
 ) -> ImplicantSet:
-    return implicants(build_collision_system(F).base, cfg)
+    return implicants(build_collision_system(F), cfg)
 
 
 def _inside_diagonal(t: Term, n: int) -> int | None:
     """First variable index whose two copies are not pinned equal, if any."""
-    for v in range(n):
-        x_bit, s_bit = 1 << v, 1 << (n + v)
-        x_fixed = t.vars_mask & x_bit
-        s_fixed = t.vars_mask & s_bit
-        if not (x_fixed and s_fixed):
-            return v
-        if bool(t.pos & x_bit) != bool(t.pos & s_bit):
-            return v
-    return None
+    vm, pos = t.vars_mask, t.pos
+    both = vm & (vm >> n)
+    bad = mask_of(range(n)) & ~(both & ~(pos ^ (pos >> n)))
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def _witness_from_term(t: Term, v: int, n: int) -> tuple[Assignment, Assignment]:
@@ -130,7 +96,7 @@ def is_one_to_one_diagonal(F: BoolMap, cfg: EngineConfig | None = None) -> Verdi
         if v is not None:
             return Verdict(False, _witness_from_term(t, v, n), None)
     if n <= _EXACT_FORM_CAP:
-        expected = set(diagonal_set(n).pairs)
+        expected = set(diagonal_set(n))
         if set(cover.terms) != expected:
             raise RuntimeError("diagonal-contained cover differs from the diagonal set")
     return Verdict(True, None, None)

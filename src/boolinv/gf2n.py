@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Anf, mask_of
-from .engine import _index_pattern
+from .engine import EngineConfig, _index_pattern
 from .maps import BoolMap, is_invertible_square
 
 #: Everything here enumerates 2**n field points; stay at desk scale.
@@ -239,21 +239,14 @@ def moebius(bits: int, n: int) -> int:
     return bits
 
 
-def coordinate_functions(
-    p: UniPoly, spec: FieldSpec | None = None, cap: int = MAX_DEGREE
-) -> BoolMap:
+def coordinate_functions(p: UniPoly) -> BoolMap:
     """Expand x -> p(x) into n Boolean coordinates over the basis.
 
     Input bit i is the coefficient of a^i in x; output bit j likewise.
     Each output truth table is converted to ANF, so evaluating the
     returned map on the bits of x reproduces the bits of p(x) exactly.
     """
-    spec = spec or p.spec
-    if spec != p.spec:
-        raise ValueError("polynomial and field specs differ")
-    n = spec.n
-    if n > cap:
-        raise ValueError(f"degree {n} exceeds the enumeration cap {cap}")
+    n = p.spec.n
     values = _value_table(p)[::-1]  # highest point first, as int() reads digits
     uni = mask_of(range(n))
     coords = []
@@ -264,6 +257,6 @@ def coordinate_functions(
     return BoolMap.of(coords, n)
 
 
-def is_permutation_polynomial(p: UniPoly, spec: FieldSpec | None = None) -> bool:
+def is_permutation_polynomial(p: UniPoly, cfg: EngineConfig | None = None) -> bool:
     """Whether x -> p(x) is a bijection of the field."""
-    return is_invertible_square(coordinate_functions(p, spec)).one_to_one
+    return is_invertible_square(coordinate_functions(p), cfg).one_to_one

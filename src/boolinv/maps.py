@@ -3,9 +3,12 @@
 A map F: F2^n -> F2^m is held as m coordinate polynomials over input
 variables 0..n-1.  Output variables take the ids n..n+m-1, appended
 after the inputs.  The graph system h_i = f_i + y_i + 1 is satisfied
-exactly by the pairs (x, F(x)); every cover term factors into an X part
-and a Y part, and the Y parts decide injectivity, image and the
-complement of the image without enumerating inputs.
+exactly by the pairs (x, F(x)); each cover term is the paper's
+r_i(X)·s_i(Y), an input cube times one output point.  The cover is read
+in place with masks: ``t.pos & F.x_universe`` is the plain part of the
+input cube and ``t.pos & F.y_universe`` names the output point, which
+decides injectivity, image and the complement of the image without
+enumerating inputs.
 """
 
 from __future__ import annotations
@@ -70,14 +73,6 @@ class BoolMap:
 
 
 @dataclass(frozen=True)
-class GraphImplicant:
-    """Cover term of a graph system, factored into input and output parts."""
-
-    r: Term
-    s: Term
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Injectivity decision with a colliding input pair when negative."""
 
@@ -135,73 +130,52 @@ def build_graph_system(F: BoolMap) -> BoolSystem:
     return BoolSystem(factors, uni)
 
 
-def split_xy(t: Term, F: BoolMap) -> GraphImplicant:
-    """Partition a term's literals into input and output parts."""
-    x_mask, y_mask = F.x_universe, F.y_universe
-    if t.vars_mask & ~(x_mask | y_mask):
-        raise ValueError("term uses a variable outside the map's universe")
-    return GraphImplicant(
-        r=Term(t.pos & x_mask, t.neg & x_mask),
-        s=Term(t.pos & y_mask, t.neg & y_mask),
-    )
-
-
-def graph_implicants(
-    F: BoolMap, cfg: EngineConfig | None = None
-) -> tuple[list[GraphImplicant], ImplicantSet]:
-    """Cover of the graph system, factored; s parts are full Y-minterms.
+def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSet:
+    """Cover of the graph system; every term fixes every output variable.
 
     A free output variable in a sound cover term is impossible: every
     factor depends linearly on its y_i, so the cofactor could not be
     constant 1.  The guard stays as a cheap internal consistency check.
     """
     cover = implicants(build_graph_system(F), cfg)
-    out = []
+    y_mask = F.y_universe
     for t in cover.terms:
-        gi = split_xy(t, F)
-        if not gi.s.fixes(F.y_universe):
+        if y_mask & ~t.vars_mask:
             raise RuntimeError(f"graph cover term {t} leaves an output variable free")
-        out.append(gi)
-    return out, cover
+    return cover
 
 
 def _collision_witness(
-    gis: list[GraphImplicant], F: BoolMap
+    cover: ImplicantSet, F: BoolMap
 ) -> tuple[Assignment, Assignment] | None:
-    """Two distinct inputs with equal output, read off the factored cover.
+    """Two distinct inputs with equal output, read off the graph cover.
 
-    Either two terms share one output minterm (their input cubes are
+    Either two terms share one output point (their input cubes are
     disjoint by orthogonality), or some input cube has a free variable
     and collides within itself.
     """
-    x_mask = F.x_universe
-    first_by_y: dict[int, GraphImplicant] = {}
-    for gi in gis:
-        y = gi.s.pos  # s fixes every output, so its plain part names it
-        if y in first_by_y:
-            other = first_by_y[y]
-            return (
-                Assignment(x_mask, other.r.pos),
-                Assignment(x_mask, gi.r.pos),
-            )
-        first_by_y[y] = gi
-    for gi in gis:
-        free = x_mask & ~gi.r.vars_mask
+    x_mask, y_mask = F.x_universe, F.y_universe
+    first_x_by_y: dict[int, int] = {}
+    for t in cover.terms:
+        y, x = t.pos & y_mask, t.pos & x_mask
+        if y in first_x_by_y:
+            return Assignment(x_mask, first_x_by_y[y]), Assignment(x_mask, x)
+        first_x_by_y[y] = x
+    for t in cover.terms:
+        free = x_mask & ~t.vars_mask
         if free:
-            low = free & -free
-            return (
-                Assignment(x_mask, gi.r.pos),
-                Assignment(x_mask, gi.r.pos | low),
-            )
+            x = t.pos & x_mask
+            return Assignment(x_mask, x), Assignment(x_mask, x | (free & -free))
     return None
 
 
 def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
-    gis, _ = graph_implicants(F, cfg)
-    count = len({gi.s.pos for gi in gis})
+    cover = graph_implicants(F, cfg)
+    y_mask = F.y_universe
+    count = len({t.pos & y_mask for t in cover.terms})
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
-    witness = _collision_witness(gis, F)
+    witness = _collision_witness(cover, F)
     if witness is None:
         raise RuntimeError("non-injective map without extractable witness")
     return Verdict(False, witness, count)
@@ -227,13 +201,12 @@ def is_one_to_one_general(F: BoolMap, cfg: EngineConfig | None = None) -> Verdic
 def _image_complement(
     F: BoolMap, cfg: EngineConfig | None, max_points: int
 ) -> ComplementResult:
-    gis, _ = graph_implicants(F, cfg)
-    image = tuple(sorted({gi.s for gi in gis}, key=Term.sort_key))
     y_mask = F.y_universe
-    size = (1 << F.m_out) - len(image)
+    hit = {t.pos & y_mask for t in graph_implicants(F, cfg).terms}
+    image = tuple(sorted((Term.minterm(y_mask, y) for y in hit), key=Term.sort_key))
+    size = (1 << F.m_out) - len(hit)
     points: tuple[Assignment, ...] | None = None
     if (1 << F.m_out) <= max_points:
-        hit = {s.pos for s in image}  # s fixes every output, so pos names it
         points = tuple(
             Assignment(y_mask, trues) for trues in submasks(y_mask) if trues not in hit
         )

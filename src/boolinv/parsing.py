@@ -89,12 +89,13 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _parse_anf(
-    body: str, offset: int, lineno: int, resolve, universe: int
-) -> Anf:
-    """Sum-of-products expression; ``resolve`` maps a name to a var id."""
+def _parse_anf(body: str, offset: int, lineno: int, resolve) -> list[int]:
+    """Monomials of a sum-of-products expression, repeats included.
+
+    ``resolve`` maps a name to a var id; the lone ``0`` has none.
+    """
     if body.strip() == "0":
-        return Anf.zero(universe)
+        return []
     monomials: list[int] = []
     current: int | None = None
     expect_atom = True
@@ -126,7 +127,7 @@ def _parse_anf(
     if expect_atom:
         raise ParseError("expression ends without an operand", lineno, last_col)
     monomials.append(current)
-    return Anf.from_monomials(monomials, universe)
+    return monomials
 
 
 def _parse_poly(body: str, offset: int, lineno: int, spec: FieldSpec) -> UniPoly:
@@ -304,8 +305,8 @@ def parse_text(text: str) -> Problem:
                 raise ParseError(
                     "file mixes map and system equations", lineno, indent + 1
                 )
-            f = _parse_anf(rhs, rhs_offset, lineno, resolve_input, uni)
-            factors.append(f ^ Anf.one(uni))  # equation f = 0 becomes factor f + 1
+            f = _parse_anf(rhs, rhs_offset, lineno, resolve_input)
+            factors.append(Anf.from_monomials([*f, 0], uni))  # f = 0 becomes factor f + 1
         else:
             if factors:
                 raise ParseError(
@@ -319,7 +320,8 @@ def parse_text(text: str) -> Problem:
                 )
             if lhs_name in targets:
                 raise ParseError(f"duplicate equation target '{lhs_name}'", lineno, indent + 1)
-            coords.append(_parse_anf(rhs, rhs_offset, lineno, resolve_input, uni))
+            f = _parse_anf(rhs, rhs_offset, lineno, resolve_input)
+            coords.append(Anf.from_monomials(f, uni))
             targets[lhs_name] = None
 
     if poly is not None:
@@ -331,8 +333,7 @@ def parse_text(text: str) -> Problem:
         return MapProblem(BoolMap.of(coords, len(inputs)), table)
     if factors:
         table = VarTable(tuple(inputs), len(inputs))
-        system = BoolSystem(tuple(f.with_universe(uni) for f in factors), uni)
-        return SystemProblem(system, table)
+        return SystemProblem(BoolSystem(tuple(factors), uni), table)
     raise ParseError("file declares no problem", lineno or 1, 1)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import boolinv
 import boolinv.cli
+import boolinv.engine
 import boolinv.maps
 from boolinv.algebra import Assignment, MissingVariableError
 from boolinv.cli import main
@@ -182,6 +183,25 @@ def test_permpoly_huge_exponent_agrees_with_oracle(capsys, tmp_path):
         orc_code, orc = run_json(capsys, "oracle", path)
         assert (orc_code, orc["permutation"]) == (code, permutes)
     assert doc["poly"] == "X^11 + 3"  # the echo shows the folded exponent
+
+
+def test_permpoly_honours_bound(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "f64.txt"
+    seen = []
+    leaf = boolinv.engine.impl_for_simple
+
+    def spy(f, bound=boolinv.engine.DEFAULT_BOUND):
+        seen.append(bound)
+        return leaf(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", spy)
+    for poly, permutes in (("X^5", True), ("X^3 + X", False)):
+        path.write_text(f"field: n=6\npoly: {poly}\n")
+        code, doc = run_json(capsys, "permpoly", path)
+        assert (code, doc["permutation"]) == (0 if permutes else 1, permutes)
+        seen.clear()
+        assert run_json(capsys, "permpoly", path, "--bound", "1") == (code, doc)
+        assert seen and set(seen) == {1}
 
 
 def test_permpoly_exponent_past_int_string_limit_exits_2(capsys, tmp_path):
@@ -385,6 +405,11 @@ def test_module_invocation_runs():
         text=True,
     )
     assert proc.returncode == 1
+
+
+def test_every_exported_name_resolves():
+    # a dangling __all__ entry breaks ``from boolinv import *``
+    assert [name for name in boolinv.__all__ if not hasattr(boolinv, name)] == []
 
 
 def _bindings() -> dict:

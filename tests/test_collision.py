@@ -7,8 +7,7 @@ import pytest
 
 from boolinv.algebra import Anf, BoolSystem, Term, is_implicant, mask_of
 from boolinv.collision import (
-    CollisionSystem,
-    DiagonalSet,
+    _inside_diagonal,
     build_collision_system,
     collision_implicants,
     diagonal_set,
@@ -27,16 +26,15 @@ from conftest import (
 def test_build_single_projection():
     uni = mask_of(range(1))
     F = BoolMap.of([Anf.variable(0, uni)], 1)
-    cs = build_collision_system(F)
-    assert cs.n_in == 1
-    assert cs.base.universe == 0b11
-    assert cs.base.factors[0].monomials == frozenset((0b01, 0b10, 0))
+    sys_ = build_collision_system(F)
+    assert sys_.universe == 0b11
+    assert sys_.factors[0].monomials == frozenset((0b01, 0b10, 0))
 
 
 def test_build_shift_map_shadows_nonlinear_terms():
-    cs = build_collision_system(shift_register_map())
+    sys_ = build_collision_system(shift_register_map())
     # third factor: x1 + x2 x3 + x1~ + x2~ x3~ + 1
-    assert cs.base.factors[2].monomials == frozenset(
+    assert sys_.factors[2].monomials == frozenset(
         (1 << 0, 0b110, 1 << 3, 0b110000, 0)
     )
 
@@ -44,33 +42,32 @@ def test_build_shift_map_shadows_nonlinear_terms():
 def test_build_and_factor_shares_monomial_shape():
     uni = mask_of(range(2))
     F = BoolMap.of([Anf.variable(0, uni) * Anf.variable(1, uni)], 2)
-    cs = build_collision_system(F)
-    assert cs.base.factors[0].monomials == frozenset((0b0011, 0b1100, 0))
+    sys_ = build_collision_system(F)
+    assert sys_.factors[0].monomials == frozenset((0b0011, 0b1100, 0))
 
 
 def test_diagonal_set_n1():
-    d = diagonal_set(1)
-    assert d.pairs == (Term(pos=0, neg=0b11), Term(pos=0b11, neg=0))
+    assert diagonal_set(1) == (Term(pos=0, neg=0b11), Term(pos=0b11, neg=0))
 
 
 def test_diagonal_set_n2_contains_mixed_minterm():
     d = diagonal_set(2)
     assert len(d) == 4
     # x1 x2' x1~ x2~'
-    assert Term(pos=0b0101, neg=0b1010) in d.pairs
+    assert Term(pos=0b0101, neg=0b1010) in d
 
 
 def test_diagonal_set_sizes_and_cap():
     for n in range(0, 11):
         assert len(diagonal_set(n)) == 1 << n
-    assert diagonal_set(0).pairs == (Term(),)
+    assert diagonal_set(0) == (Term(),)
     for n in range(0, 7):
         full = mask_of(range(2 * n))
         expected = []
         for bits in itertools.product((0, 1), repeat=n):  # x1 most significant
             trues = sum((1 << v) | (1 << (n + v)) for v, b in enumerate(bits) if b)
             expected.append(Term(trues, full & ~trues))
-        assert diagonal_set(n).pairs == tuple(expected)
+        assert diagonal_set(n) == tuple(expected)
     with pytest.raises(ValueError):
         diagonal_set(17)
 
@@ -95,7 +92,7 @@ def test_doubled_and_map_collides():
 def test_identity_cover_is_exactly_the_diagonal():
     F = identity_map(2)
     cover = collision_implicants(F)
-    assert set(cover.terms) == set(diagonal_set(2).pairs)
+    assert set(cover.terms) == set(diagonal_set(2))
     assert is_one_to_one_diagonal(F).one_to_one
 
 
@@ -112,9 +109,9 @@ def test_diagonal_terms_are_implicants_of_any_collision_system():
     for _ in range(10):
         n = rng.randint(1, 4)
         F = BoolMap.of(random_map_coords(rng, n, rng.randint(1, n + 2)), n)
-        cs = build_collision_system(F)
-        for t in diagonal_set(n).pairs:
-            assert is_implicant(t, cs.base)
+        sys_ = build_collision_system(F)
+        for t in diagonal_set(n):
+            assert is_implicant(t, sys_)
 
 
 def test_agreement_with_graph_method_on_corpus():
@@ -129,7 +126,19 @@ def test_agreement_with_graph_method_on_corpus():
         )
 
 
-def test_collision_system_accessors():
-    cs = build_collision_system(identity_map(3))
-    assert cs.x_universe == 0b000111
-    assert cs.shadow_universe == 0b111000
+def _first_unpinned_variable(t: Term, n: int):
+    for v in range(n):
+        x_bit, s_bit = 1 << v, 1 << (n + v)
+        if not (t.vars_mask & x_bit and t.vars_mask & s_bit):
+            return v
+        if bool(t.pos & x_bit) != bool(t.pos & s_bit):
+            return v
+    return None
+
+
+def test_inside_diagonal_names_the_first_unpinned_variable():
+    # every term over 2n variables: each literal absent, plain or complemented
+    for n in range(0, 4):
+        for signs in itertools.product((None, 1, 0), repeat=2 * n):
+            t = Term.of(*((v, b) for v, b in enumerate(signs) if b is not None))
+            assert _inside_diagonal(t, n) == _first_unpinned_variable(t, n)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import boolinv.maps
 from boolinv.algebra import (
     Anf,
     Assignment,
@@ -24,7 +25,6 @@ from boolinv.maps import (
     graph_implicants,
     is_invertible_square,
     is_one_to_one_general,
-    split_xy,
     unique_solution,
 )
 from boolinv.oracle import brute_image, brute_injective, solution_count
@@ -63,28 +63,6 @@ def test_graph_system_quad_constant_cancels():
     sys = build_graph_system(quad_map())
     # f4 = x2 x4 + 1, so h4 = x2 x4 + 1 + y4 + 1 = x2 x4 + y4
     assert sys.factors[3].monomials == frozenset((0b1010, 1 << 7))
-
-
-def test_split_xy_partitions_literals():
-    F = shift_register_map()
-    t = Term.of((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0))
-    gi = split_xy(t, F)
-    assert gi.r == Term.of((0, 0), (1, 0), (2, 0))
-    assert gi.s == Term.of((3, 0), (4, 0), (5, 0))
-
-
-def test_split_xy_empty_and_x_free():
-    F = shift_register_map()
-    gi = split_xy(Term(), F)
-    assert gi.r.is_one and gi.s.is_one
-    gi = split_xy(Term.of((3, 1), (4, 1), (5, 0)), F)
-    assert gi.r.is_one
-    assert gi.s == Term.of((3, 1), (4, 1), (5, 0))
-
-
-def test_split_xy_rejects_foreign_variable():
-    with pytest.raises(ValueError):
-        split_xy(Term.of((9, 1)), shift_register_map())
 
 
 def test_shift_map_invertible():
@@ -254,9 +232,23 @@ def test_graph_cover_output_parts_are_minterms_on_corpus():
     for _ in range(20):
         n = rng.randint(2, 6)
         m = rng.randint(n, n + 2)
-        # graph_implicants raises internally if an output variable is free
-        gis, cover = graph_implicants(_random_map(rng, n, m))
+        F = _random_map(rng, n, m)
+        cover = graph_implicants(F)
         assert cover.satisfying_total() == 1 << n
+        for t in cover.terms:
+            # input cube r times output point s: every x in r maps to s
+            assert t.vars_mask & F.y_universe == F.y_universe
+            r = Term(t.pos & F.x_universe, t.neg & F.x_universe)
+            for x in r.expand(F.x_universe):
+                assert F.evaluate(Assignment(F.x_universe, x.pos)) == t.pos >> n
+
+
+def test_graph_cover_guard_rejects_a_free_output(monkeypatch):
+    F = identity_map(2)
+    free_y = ImplicantSet((Term.of((0, 0), (1, 0), (2, 0)),), F.x_universe | F.y_universe)
+    monkeypatch.setattr(boolinv.maps, "implicants", lambda sys, cfg=None: free_y)
+    with pytest.raises(RuntimeError, match="leaves an output variable free"):
+        graph_implicants(F)
 
 
 def test_verdicts_match_oracle_on_corpus():
@@ -284,9 +276,11 @@ def test_square_theorem_condition_equivalences():
     for _ in range(15):
         n = rng.randint(2, 5)
         F = _random_map(rng, n, n)
-        gis, _ = graph_implicants(F)
+        y_mask = F.y_universe
+        outputs = {t.pos & y_mask for t in graph_implicants(F).terms}
         family = ImplicantSet(
-            tuple(sorted({gi.s for gi in gis}, key=Term.sort_key)), F.y_universe
+            tuple(sorted((Term.minterm(y_mask, y) for y in outputs), key=Term.sort_key)),
+            y_mask,
         )
         tautology = og_sum_is_tautology(family)
         empty_goe = goe(F).is_empty

@@ -10,18 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolinv.algebra import Anf, BoolSystem, mask_of
-from boolinv.cli import main
+from boolinv.cli import _HANDLERS, main
 from boolinv.engine import EngineConfig, _leaf_scan, implicants
+from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
 from boolinv.maps import BoolMap
 from boolinv.oracle import brute_image, brute_solutions
-from boolinv.parsing import MapProblem, VarTable, format_problem
+from boolinv.parsing import (
+    MapProblem,
+    PolyProblem,
+    SystemProblem,
+    VarTable,
+    format_problem,
+    parse_text,
+)
 
 
 @st.composite
-def maps(draw):
-    """A map of n <= 5 inputs and n..n+2 outputs, coordinates as monomial masks."""
+def maps(draw, narrow=False):
+    """A map of n <= 5 inputs and n..n+2 outputs, coordinates as monomial masks.
+
+    With ``narrow`` the map may also have fewer outputs than inputs.
+    """
     n = draw(st.integers(0, 5))
-    m = draw(st.integers(max(n, 1), n + 2))
+    m = draw(st.integers(1 if narrow else max(n, 1), n + 2))
     uni = mask_of(range(n))
     monomial = st.integers(0, uni)
     coords = [
@@ -99,3 +110,60 @@ def test_implicants_match_oracle_at_any_bound(sys, bound):
     assert cover.is_pairwise_orthogonal()
     if _leaf_scan(sys.factors)[0].bit_count() <= bound:  # one leaf scan decides
         assert cover == implicants(sys, EngineConfig(base_bound_m=12))
+
+
+@st.composite
+def system_problems(draw):
+    """A system of ``systems()`` plus, at times, zero and constant-one factors."""
+    sys = draw(systems())
+    uni = sys.universe
+    extra = draw(st.lists(st.sampled_from((Anf.zero(uni), Anf.one(uni))), max_size=2))
+    factors = draw(st.permutations(sys.factors + tuple(extra)))
+    n = uni.bit_length()
+    names = tuple(f"x{i + 1}" for i in range(n))
+    return SystemProblem(BoolSystem(tuple(factors), uni), VarTable(names, n))
+
+
+@st.composite
+def poly_problems(draw, max_degree=None):
+    """A polynomial over GF(2^n), n <= 5, under any irreducible modulus.
+
+    ``max_degree`` bounds the exponents; by default it is 2^n - 1, the
+    largest exponent the parser keeps as written.
+    """
+    n = draw(st.integers(1, 5))
+    moduli = [m for m in range(1 << n, 1 << (n + 1)) if _is_irreducible(m, n)]
+    spec = FieldSpec(n, draw(st.sampled_from(moduli)))
+    top = spec.order - 1 if max_degree is None else max_degree
+    values = draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=top + 1))
+    return PolyProblem(UniPoly.of(spec, values), spec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(maps(narrow=True), system_problems(), poly_problems()))
+def test_format_then_parse_round_trips(problem):
+    assert parse_text(format_problem(problem)) == problem
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.one_of(maps(narrow=True), system_problems(), poly_problems(max_degree=40)),
+    st.integers(1, 12),
+)
+def test_exit_code_is_1_only_on_a_decided_negative(problem, bound):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.txt"
+        path.write_text(format_problem(problem))
+        for command in _HANDLERS:  # every subcommand
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, str(path), "--bound", str(bound), "--format", "json"])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert out.getvalue() == ""
+                continue
+            doc = json.loads(out.getvalue())
+            negative = any(
+                doc.get(k) is False for k in ("one_to_one", "permutation", "injective")
+            )
+            assert code == (1 if negative else 0), (command, doc)
