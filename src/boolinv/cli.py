@@ -112,11 +112,6 @@ def _witness_lines(witness, table: VarTable) -> list[str]:
     ]
 
 
-def _y_bitstring(a: Assignment, F: BoolMap) -> str:
-    # character j is y_j; a parsed map has at least one output
-    return format(a.trues >> F.n_in, f"0{F.m_out}b")[::-1]
-
-
 def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:
     if not isinstance(problem, MapProblem):
         raise ValueError(f"{command} expects a map file")
@@ -181,11 +176,17 @@ def _run_complement(problem: Problem, args):
     F, table = _need_map(problem, command)
     fn = goe if command == "goe" else coi
     res = fn(F, _cfg(args), max_points=args.max_enum)
+    # character j of a word's string is y_j; a parsed map has at least one output
+    row = f"0{F.m_out}b"
     points = None
     if res.points is not None:
-        points = [_y_bitstring(p, F) for p in res.points]
+        points = [format(w, row)[::-1] for w in res.points]
     # the paper's s_i' = 1 for every image minterm s_i, written s_i = 0
-    factors = [format_term(s, table) + " = 0" for s in res.image]
+    literals = [(name + "'", name) for name in table.outputs]
+    factors = [
+        " ".join(pair[ch == "1"] for pair, ch in zip(literals, format(w, row)[::-1])) + " = 0"
+        for w in res.image
+    ]
     doc = {
         "schema": SCHEMA_VERSION,
         "command": command,

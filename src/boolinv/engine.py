@@ -384,8 +384,11 @@ def _solve(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> li
         seed, sys = stack.pop()
         if _leaf_scan(sys.factors)[0].bit_count() <= cfg.base_bound_m:
             leaves += 1
-            for s in impl_for_simple(sys, cfg.base_bound_m).terms:
-                out.append(Term(seed.pos | s.pos, seed.neg | s.neg))
+            terms = impl_for_simple(sys, cfg.base_bound_m).terms
+            if seed.pos | seed.neg:
+                out.extend(Term(seed.pos | s.pos, seed.neg | s.neg) for s in terms)
+            else:  # the empty seed: the leaf's terms are already the products
+                out.extend(terms)
         else:
             for t, sub in _branches(sys, cfg):
                 stack.append((Term(seed.pos | t.pos, seed.neg | t.neg), sub))

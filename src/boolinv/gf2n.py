@@ -186,11 +186,14 @@ class UniPoly:
         return acc
 
 
-def _exp_log(spec: FieldSpec) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=32)
+def _exp_log(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Powers of a primitive element, and their inverse (log[0] is unused).
 
     The element x is not primitive for every irreducible modulus (under
-    0b11111 it has order 5), so the candidates are tried in turn.
+    0b11111 it has order 5), so the candidates are tried in turn.  The
+    tables are cached per field, so they are tuples that no caller can
+    change.
     """
     q = spec.order - 1
     for g in range(1, spec.order):
@@ -206,7 +209,7 @@ def _exp_log(spec: FieldSpec) -> tuple[list[int], list[int]]:
     log = [0] * spec.order
     for i, y in enumerate(exp):
         log[y] = i
-    return exp, log
+    return tuple(exp), tuple(log)
 
 
 def _value_table(p: UniPoly) -> list[int]:

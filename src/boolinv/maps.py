@@ -8,7 +8,8 @@ r_i(X)·s_i(Y), an input cube times one output point.  The cover is read
 in place with masks: ``t.pos & F.x_universe`` is the plain part of the
 input cube and ``t.pos & F.y_universe`` names the output point, which
 decides injectivity, image and the complement of the image without
-enumerating inputs.
+enumerating inputs.  The complement is answered in output words,
+``t.pos >> n_in``, the packing of ``BoolMap.evaluate``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, submasks
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, mask_of, submasks
 from .engine import EngineConfig, implicants
 
 #: Explicit complement-of-image points are materialized only below this.
@@ -105,15 +106,18 @@ class UniqueSolutionResult:
 class ComplementResult:
     """Outputs with no preimage: explicit points plus the image minterms.
 
-    ``image`` holds the distinct output minterms s_i in canonical order;
-    y has no preimage exactly when s_i'(y) = 1 for every i.  ``points``
-    is None when the output space exceeds the enumeration cap; ``image``
-    and ``size`` are always available.
+    Both are output words packed as ``BoolMap.evaluate`` packs them,
+    y_j at bit j, in canonical order: y_0 is the most significant digit,
+    the order of ``submasks``.  ``image`` holds the distinct words of the
+    image minterms s_i; y has no preimage exactly when s_i'(y) = 1 for
+    every i.  ``points`` holds the other words, or is None when the
+    output space exceeds the enumeration cap; ``image`` and ``size`` are
+    always available.
     """
 
     size: int
-    image: tuple[Term, ...]
-    points: tuple[Assignment, ...] | None
+    image: tuple[int, ...]
+    points: tuple[int, ...] | None
 
     @property
     def is_empty(self) -> bool:
@@ -201,16 +205,14 @@ def is_one_to_one_general(F: BoolMap, cfg: EngineConfig | None = None) -> Verdic
 def _image_complement(
     F: BoolMap, cfg: EngineConfig | None, max_points: int
 ) -> ComplementResult:
-    y_mask = F.y_universe
-    hit = {t.pos & y_mask for t in graph_implicants(F, cfg).terms}
-    image = tuple(sorted((Term.minterm(y_mask, y) for y in hit), key=Term.sort_key))
-    size = (1 << F.m_out) - len(hit)
-    points: tuple[Assignment, ...] | None = None
-    if (1 << F.m_out) <= max_points:
-        points = tuple(
-            Assignment(y_mask, trues) for trues in submasks(y_mask) if trues not in hit
-        )
-    return ComplementResult(size=size, image=image, points=points)
+    n, m = F.n_in, F.m_out
+    hit = {t.pos >> n for t in graph_implicants(F, cfg).terms}
+    row = f"0{m}b"
+    image = tuple(sorted(hit, key=lambda w: format(w, row)[::-1]))
+    points: tuple[int, ...] | None = None
+    if (1 << m) <= max_points:
+        points = tuple(w for w in submasks((1 << m) - 1) if w not in hit)
+    return ComplementResult(size=(1 << m) - len(hit), image=image, points=points)
 
 
 def goe(

@@ -13,6 +13,7 @@ from boolinv.algebra import (
     Term,
     mask_of,
     og_sum_is_tautology,
+    submasks,
 )
 from boolinv.engine import EngineConfig
 from boolinv.maps import (
@@ -36,10 +37,6 @@ from conftest import (
     random_system,
     shift_register_map,
 )
-
-
-def _y_bits(a: Assignment, F: BoolMap) -> str:
-    return "".join(str(a.value(F.y_var(j))) for j in range(F.m_out))
 
 
 def test_graph_system_identity():
@@ -104,7 +101,7 @@ def test_goe_quad_map_six_points():
     F = quad_map()
     res = goe(F)
     assert res.size == 6
-    assert [_y_bits(p, F) for p in res.points] == [
+    assert [format(w, "04b")[::-1] for w in res.points] == [
         "0110",
         "0111",
         "1000",
@@ -118,20 +115,19 @@ def test_goe_matches_brute_complement():
     F = quad_map()
     image = brute_image(F)
     res = goe(F)
-    got = {p.trues >> F.n_in for p in res.points}
-    assert got == set(range(16)) - image
+    assert set(res.points) == set(range(16)) - image
 
 
 def test_goe_symbolic_system_defines_the_points():
     F = quad_map()
     res = goe(F)
-    y_mask = F.y_universe
-    assert all(s.fixes(y_mask) and not s.vars_mask & ~y_mask for s in res.image)
-    assert list(res.image) == sorted(set(res.image), key=Term.sort_key)
-    listed = {p.trues for p in res.points}
-    for trues in range(0, y_mask + 1, 1 << F.n_in):
-        a = Assignment(y_mask, trues)
-        assert (trues in listed) == (not any(s.satisfies(a) for s in res.image))
+    full = (1 << F.m_out) - 1
+    image = set(res.image)
+    assert all(0 <= w <= full for w in image)
+    assert list(res.image) == [w for w in submasks(full) if w in image]
+    listed = set(res.points)
+    for y in range(full + 1):
+        assert (y in listed) == (y not in image)
 
 
 def test_goe_constant_map():
@@ -139,7 +135,7 @@ def test_goe_constant_map():
     F = BoolMap.of([Anf.zero(uni), Anf.zero(uni)], 2)
     res = goe(F)
     assert res.size == 3
-    assert all(p.trues != 0 for p in res.points)
+    assert all(w != 0 for w in res.points)
 
 
 def test_goe_cap_suppresses_points():
@@ -267,8 +263,28 @@ def test_verdicts_match_oracle_on_corpus():
         if m >= n:
             res = coi(F)
             complement = set(range(1 << m)) - set(brute_image(F))
-            assert {p.trues >> n for p in res.points} == complement
+            assert set(res.points) == complement
             assert res.size == len(complement)
+
+
+def test_complement_words_partition_the_output_space_in_canonical_order():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        m = rng.randint(n, n + 2)
+        F = _random_map(rng, n, m)
+        res = coi(F)
+        words = list(submasks((1 << m) - 1))
+        image, points = set(res.image), set(res.points)
+        assert sorted(res.image + res.points) == sorted(words)
+        assert not image & points
+        assert list(res.image) == [w for w in words if w in image]
+        assert list(res.points) == [w for w in words if w in points]
+        x_mask = F.x_universe
+        assert image == {
+            F.evaluate(Assignment(x_mask, x)) for x in range(x_mask + 1)
+        }
+        assert res.size == len(res.points)
 
 
 def test_square_theorem_condition_equivalences():

@@ -167,3 +167,42 @@ def test_exit_code_is_1_only_on_a_decided_negative(problem, bound):
                 doc.get(k) is False for k in ("one_to_one", "permutation", "injective")
             )
             assert code == (1 if negative else 0), (command, doc)
+
+
+_FIXTURES = tuple(
+    p.read_bytes() for p in sorted((Path(__file__).parent / "fixtures").glob("*.txt"))
+)
+_EDIT_BYTES = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789xyX+*^=:# \n"))
+
+
+@st.composite
+def malformed_files(draw):
+    """Random bytes, or a valid problem file truncated or with 1-3 bytes replaced."""
+    kind = draw(st.sampled_from(("random", "truncated", "edited")))
+    if kind == "random":
+        return draw(st.binary(max_size=120))
+    valid = st.one_of(maps(narrow=True), system_problems(), poly_problems(max_degree=40))
+    text = draw(st.one_of(st.sampled_from(_FIXTURES), valid.map(lambda p: format_problem(p).encode())))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text)))]
+    data = bytearray(text)
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(_EDIT_BYTES)
+    return bytes(data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(malformed_files())
+def test_malformed_input_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.txt"
+        path.write_bytes(data)
+        for command in _HANDLERS:  # every subcommand
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2), (command, data)
+            if code == 2:
+                errors = [line for line in err.getvalue().split("\n") if line.startswith("error:")]
+                assert len(errors) == 1, (command, data, err.getvalue())
+                assert not errors[0].startswith("error: internal:"), (command, data, errors)
