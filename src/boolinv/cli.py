@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Result documents go to stdout; timing and configuration echo go to
-stderr so that machine output is byte-identical from run to run.  Exit
-status: 0 decided (positive or neutral), 1 decided negative (not
-one-to-one, not a permutation), 2 error, including an internal failure
-of the engine.
+stderr so that machine output is byte-identical from run to run.  Every
+JSON document opens with ``schema``, ``command`` and ``problem``.  Exit
+status: 1 when the document holds ``False`` under ``one_to_one``,
+``permutation`` or ``injective`` (decided negative), 2 on an error,
+including an internal failure of the engine, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .oracle import brute_image_count, brute_injective, brute_solutions
 from .gf2n import is_permutation_polynomial
 from .parsing import (
     MapProblem,
-    ParseError,
     PolyProblem,
     Problem,
     SystemProblem,
@@ -44,6 +44,12 @@ from .parsing import (
 )
 
 SCHEMA_VERSION = 1
+
+#: The ``problem`` field of each kind of input.
+_KIND = {MapProblem: "map", SystemProblem: "system", PolyProblem: "poly"}
+
+#: A ``False`` under any of these keys is a decided negative: exit 1.
+_VERDICT_KEYS = ("one_to_one", "permutation", "injective")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,10 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _cfg(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(base_bound_m=args.bound)
-
-
 def _assignment_obj(a: Assignment, table: VarTable) -> dict:
     return {table.name(v): b for v, b in a.items()}
 
@@ -118,20 +120,17 @@ def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:
     return problem.map, problem.table
 
 
-def _run_implicants(problem: Problem, args) -> tuple[dict, list[str], bool]:
+def _run_implicants(problem: Problem, args, cfg: EngineConfig) -> tuple[dict, list[str]]:
     if isinstance(problem, MapProblem):
-        sys_, table = build_graph_system(problem.map), problem.table
-        kind = "map"
+        sys_ = build_graph_system(problem.map)
     elif isinstance(problem, SystemProblem):
-        sys_, table, kind = problem.system, problem.table, "system"
+        sys_ = problem.system
     else:
         raise ValueError("implicants expects a map or system file")
-    cover = implicants(sys_, _cfg(args))
+    table = problem.table
+    cover = implicants(sys_, cfg)
     terms = [format_term(t, table) for t in cover.terms]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "implicants",
-        "problem": kind,
+    body = {
         "variables": list(table.names),
         "count": len(cover),
         "satisfying_total": cover.satisfying_total(),
@@ -142,10 +141,10 @@ def _run_implicants(problem: Problem, args) -> tuple[dict, list[str], bool]:
         f"assignments covered: {cover.satisfying_total()}",
         *("  " + t for t in terms),
     ]
-    return doc, lines, False
+    return body, lines
 
 
-def _run_verdict(problem: Problem, args):
+def _run_verdict(problem: Problem, args, cfg: EngineConfig):
     F, table = _need_map(problem, args.command)
     # built per call from the module globals, so a rebound global is the one called
     decide = {
@@ -153,11 +152,8 @@ def _run_verdict(problem: Problem, args):
         "one2one": is_one_to_one_general,
         "diag": is_one_to_one_diagonal,
     }[args.command]
-    verdict = decide(F, _cfg(args))
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "problem": "map",
+    verdict = decide(F, cfg)
+    body = {
         "inputs": list(table.inputs),
         "outputs": list(table.outputs),
         "one_to_one": verdict.one_to_one,
@@ -168,14 +164,13 @@ def _run_verdict(problem: Problem, args):
     if verdict.y_minterm_count is not None:
         lines.append(f"distinct output minterms: {verdict.y_minterm_count}")
     lines.extend(_witness_lines(verdict.witness, table))
-    return doc, lines, not verdict.one_to_one
+    return body, lines
 
 
-def _run_complement(problem: Problem, args):
-    command = args.command
-    F, table = _need_map(problem, command)
-    fn = goe if command == "goe" else coi
-    res = fn(F, _cfg(args), max_points=args.max_enum)
+def _run_complement(problem: Problem, args, cfg: EngineConfig):
+    F, table = _need_map(problem, args.command)
+    fn = goe if args.command == "goe" else coi
+    res = fn(F, cfg, max_points=args.max_enum)
     # character j of a word's string is y_j; a parsed map has at least one output
     row = f"0{F.m_out}b"
     points = None
@@ -187,10 +182,7 @@ def _run_complement(problem: Problem, args):
         " ".join(pair[ch == "1"] for pair, ch in zip(literals, format(w, row)[::-1])) + " = 0"
         for w in res.image
     ]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "problem": "map",
+    body = {
         "outputs": list(table.outputs),
         "size": res.size,
         "points": points,
@@ -203,60 +195,47 @@ def _run_complement(problem: Problem, args):
         lines.append(f"  (not enumerated: output space exceeds --max-enum {args.max_enum})")
     lines.append("defining system:")
     lines.extend("  " + f for f in factors)
-    return doc, lines, False
+    return body, lines
 
 
-def _run_unique(problem: Problem, args):
+def _run_unique(problem: Problem, args, cfg: EngineConfig):
     if not isinstance(problem, SystemProblem):
         raise ValueError("unique expects a system file")
-    res = unique_solution(problem.system, _cfg(args))
+    res = unique_solution(problem.system, cfg)
     assignment = None
     if res.status is Uniqueness.UNIQUE:
         assignment = _assignment_obj(res.assignment, problem.table)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "unique",
-        "problem": "system",
-        "status": res.status.value,
-        "assignment": assignment,
-    }
+    body = {"status": res.status.value, "assignment": assignment}
     lines = [f"solutions: {res.status.value}"]
     if assignment is not None:
         lines.append("  " + format_assignment(res.assignment, problem.table))
-    return doc, lines, False
+    return body, lines
 
 
-def _run_permpoly(problem: Problem, args):
+def _run_permpoly(problem: Problem, args, cfg: EngineConfig):
     if not isinstance(problem, PolyProblem):
         raise ValueError("permpoly expects a polynomial file")
-    ok = is_permutation_polynomial(problem.poly, _cfg(args))
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "permpoly",
-        "problem": "poly",
+    ok = is_permutation_polynomial(problem.poly, cfg)
+    body = {
         "field_degree": problem.spec.n,
         "modulus": format(problem.spec.modulus, "b"),
         "poly": format_poly(problem.poly),
         "permutation": ok,
     }
-    lines = [f"permutation: {'yes' if ok else 'no'}"]
-    return doc, lines, not ok
+    return body, [f"permutation: {'yes' if ok else 'no'}"]
 
 
 def _enum_cap_bits(max_enum: int) -> int:
     return max(max_enum, 1).bit_length() - 1
 
 
-def _run_oracle(problem: Problem, args):
+def _run_oracle(problem: Problem, args, cfg: EngineConfig):
     cap = _enum_cap_bits(args.max_enum)
     if isinstance(problem, MapProblem):
         F, table = problem.map, problem.table
         injective, witness = brute_injective(F, cap=cap)
         image = brute_image_count(F, cap=cap)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "oracle",
-            "problem": "map",
+        body = {
             "injective": injective,
             "image_size": image,
             "witness": _witness_fields(witness, table),
@@ -266,36 +245,24 @@ def _run_oracle(problem: Problem, args):
             f"image size: {image}",
         ]
         lines.extend(_witness_lines(witness, table))
-        return doc, lines, not injective
+        return body, lines
     if isinstance(problem, SystemProblem):
         sols = brute_solutions(problem.system, cap=cap)
         listed = None
         if len(sols) <= 64:
             listed = [format_assignment(a, problem.table) for a in sols]
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "oracle",
-            "problem": "system",
-            "solution_count": len(sols),
-            "solutions": listed,
-        }
+        body = {"solution_count": len(sols), "solutions": listed}
         lines = [f"solutions: {len(sols)}"]
         if listed is not None:
             lines.extend("  " + s for s in listed)
-        return doc, lines, False
+        return body, lines
     p, spec = problem.poly, problem.spec
     if spec.n > cap:
         raise ValueError(f"2^{spec.n} points exceed --max-enum {args.max_enum}")
     image = {p.evaluate(spec.element(v)).value for v in range(spec.order)}
     ok = len(image) == spec.order
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "oracle",
-        "problem": "poly",
-        "permutation": ok,
-        "image_size": len(image),
-    }
-    return doc, [f"permutation: {'yes' if ok else 'no'}", f"image size: {len(image)}"], not ok
+    body = {"permutation": ok, "image_size": len(image)}
+    return body, [f"permutation: {'yes' if ok else 'no'}", f"image size: {len(image)}"]
 
 
 _HANDLERS = {
@@ -315,12 +282,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
-        _cfg(args)  # refuse a bad --bound before reading the file
+        cfg = EngineConfig(base_bound_m=args.bound)  # a bad --bound fails before the read
         if not 0 <= args.max_enum <= DEFAULT_MAX_POINTS:
             raise ValueError(f"--max-enum must be in 0..{DEFAULT_MAX_POINTS}")
         problem = parse_file(args.file)
-        doc, lines, negative = _HANDLERS[args.command](problem, args)
-    except (ParseError, ValueError, OSError) as exc:
+        body, lines = _HANDLERS[args.command](problem, args, cfg)
+    except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MissingVariableError, MemoryError) as exc:
@@ -328,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         # negative", so an internal failure must not escape with it.
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    doc = {"schema": SCHEMA_VERSION, "command": args.command, "problem": _KIND[type(problem)], **body}
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -337,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         f"[boolinv] {args.command} bound={args.bound} elapsed={elapsed:.3f}s",
         file=sys.stderr,
     )
-    return 1 if negative else 0
+    return 1 if any(doc.get(key) is False for key in _VERDICT_KEYS) else 0
 
 
 if __name__ == "__main__":

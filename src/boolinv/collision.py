@@ -12,7 +12,7 @@ The method is exponential in n by nature and stays desk scale.
 
 from __future__ import annotations
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, submasks
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, submasks
 from .engine import EngineConfig, implicants
 from .maps import BoolMap, Verdict
 
@@ -31,7 +31,7 @@ def _shift_to_shadow(f: Anf, n: int) -> Anf:
 def build_collision_system(F: BoolMap) -> BoolSystem:
     """Factors h_i = f_i(X) + f_i(X~) + 1, each 1 when the outputs agree."""
     n = F.n_in
-    uni = mask_of(range(2 * n))
+    uni = (1 << 2 * n) - 1
     factors = tuple(
         f.with_universe(uni) ^ _shift_to_shadow(f, n).with_universe(uni) ^ Anf.one(uni)
         for f in F.coords
@@ -45,7 +45,7 @@ def diagonal_set(n: int) -> tuple[Term, ...]:
         raise ValueError(
             f"2**{n} paired minterms exceed the enumeration cap 2**{DEFAULT_DIAGONAL_CAP}"
         )
-    full = mask_of(range(2 * n))
+    full = (1 << 2 * n) - 1
     return tuple(Term.minterm(full, x | (x << n)) for x in submasks(full >> n))
 
 
@@ -59,23 +59,20 @@ def _inside_diagonal(t: Term, n: int) -> int | None:
     """First variable index whose two copies are not pinned equal, if any."""
     vm, pos = t.vars_mask, t.pos
     both = vm & (vm >> n)
-    bad = mask_of(range(n)) & ~(both & ~(pos ^ (pos >> n)))
+    bad = ((1 << n) - 1) & ~(both & ~(pos ^ (pos >> n)))
     return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def _witness_from_term(t: Term, v: int, n: int) -> tuple[Assignment, Assignment]:
     """A point of the cube with the two copies differing at variable v."""
     x_bit, s_bit = 1 << v, 1 << (n + v)
-    trues = t.pos
-    if not t.vars_mask & x_bit and not t.vars_mask & s_bit:
-        trues |= s_bit
-    elif not t.vars_mask & s_bit:
+    vm, trues = t.vars_mask, t.pos
+    if not vm & s_bit:  # x~_v free: set it opposite to x_v
         if not trues & x_bit:
             trues |= s_bit
-    elif not t.vars_mask & x_bit:
-        if not trues & s_bit:
-            trues |= x_bit
-    x_mask = mask_of(range(n))
+    elif not vm & x_bit and not trues & s_bit:  # x_v free, x~_v = 0: set x_v = 1
+        trues |= x_bit
+    x_mask = (1 << n) - 1
     return (
         Assignment(x_mask, trues & x_mask),
         Assignment(x_mask, (trues >> n) & x_mask),

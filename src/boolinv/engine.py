@@ -159,11 +159,11 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
         raise BoundExceededError(k, limit)
     vs = vars_of(scanned)
     index_bit = {v: k - 1 - j for j, v in enumerate(vs)}
+    points = [0]  # trues of the scanned variables at each point index
+    for v in reversed(vs):
+        bit = 1 << v
+        points += [t | bit for t in points]
     if solved is not None:
-        points = [0]  # trues of the scanned variables at each point index
-        for v in reversed(vs):
-            bit = 1 << v
-            points += [t | bit for t in points]
         for h, p in zip(factors, solved):
             bit = 1 << p
             rest = _factor_table(h.monomials - {bit}, index_bit, k)
@@ -187,17 +187,11 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
         if low == (table & p) >> (1 << b):
             table = low  # keep the points with v = 0; v stays free
             essential ^= 1 << v
-    var_of_bit = [1 << v for v in reversed(vs)]
     bits = format(table, "b")[::-1]  # character i is the value at point i
     out = []
     i = bits.find("1")
     while i >= 0:
-        trues = 0
-        rest = i
-        while rest:
-            low = rest & -rest
-            trues |= var_of_bit[low.bit_length() - 1]
-            rest ^= low
+        trues = points[i]
         out.append(Term(trues, essential & ~trues))
         i = bits.find("1", i + 1)
     return ImplicantSet(tuple(out), essential)

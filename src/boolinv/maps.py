@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, mask_of, submasks
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, submasks
 from .engine import EngineConfig, implicants
 
 #: Explicit complement-of-image points are materialized only below this.
@@ -42,8 +42,7 @@ class BoolMap:
     n_in: int
 
     def __post_init__(self):
-        x_mask = mask_of(range(self.n_in))
-        normalized = tuple(f.with_universe(x_mask) for f in self.coords)
+        normalized = tuple(f.with_universe(self.x_universe) for f in self.coords)
         object.__setattr__(self, "coords", normalized)
 
     @classmethod

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -24,6 +25,13 @@ from conftest import random_map_coords
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).parents[1] / "src"
+
+#: a child process imports boolinv from this checkout, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))),
+}
 
 SHIFT = str(FIXTURES / "shift.txt")
 QUAD = str(FIXTURES / "quad.txt")
@@ -274,7 +282,10 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
             code = exc.code
         out = capsys.readouterr().out
         fresh = subprocess.run(
-            [sys.executable, "-m", "boolinv.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "boolinv.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
         )
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
@@ -403,8 +414,9 @@ def test_module_invocation_runs():
         [sys.executable, "-m", "boolinv.cli", "permpoly", CUBE_F16],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
-    assert proc.returncode == 1
+    assert (proc.returncode, proc.stdout) == (1, "permutation: no\n")
 
 
 def test_every_exported_name_resolves():

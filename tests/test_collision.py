@@ -8,6 +8,7 @@ import pytest
 from boolinv.algebra import Anf, BoolSystem, Term, is_implicant, mask_of
 from boolinv.collision import (
     _inside_diagonal,
+    _witness_from_term,
     build_collision_system,
     collision_implicants,
     diagonal_set,
@@ -142,3 +143,23 @@ def test_inside_diagonal_names_the_first_unpinned_variable():
         for signs in itertools.product((None, 1, 0), repeat=2 * n):
             t = Term.of(*((v, b) for v, b in enumerate(signs) if b is not None))
             assert _inside_diagonal(t, n) == _first_unpinned_variable(t, n)
+
+
+def test_witness_lies_in_the_cube_and_differs_at_v():
+    # every term over 2n variables whose two copies of v are not pinned equal
+    kinds = set()
+    for n in range(1, 4):
+        for signs in itertools.product((None, 1, 0), repeat=2 * n):
+            t = Term.of(*((v, b) for v, b in enumerate(signs) if b is not None))
+            for v in range(n):
+                x_v, s_v = signs[v], signs[n + v]
+                if x_v is not None and x_v == s_v:
+                    continue
+                kinds.add((x_v is None, s_v is None))
+                a1, a2 = _witness_from_term(t, v, n)
+                assert a1.universe == a2.universe == (1 << n) - 1
+                point = a1.trues | (a2.trues << n)
+                assert point & t.vars_mask == t.pos  # inside the cube
+                assert a1.value(v) != a2.value(v)
+    # both fixed and different, only x_v fixed, only x~_v fixed, both free
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
