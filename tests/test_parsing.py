@@ -204,3 +204,70 @@ def test_zero_coordinate_and_zero_factor_round_trip():
 def test_zero_is_only_accepted_alone():
     with pytest.raises(ParseError, match="unexpected character '0'"):
         parse_text("vars: x1\ny1 = x1 + 0\n")
+
+
+_LONG = "1" * 5000  # past the interpreter's int-string digit limit
+
+#: One input per message the parser raises: (text, line, column, message).
+_PARSE_ERRORS = [
+    ("vars: x1\n0 = + x1\n", 2, 5, "operand expected before '+'"),
+    ("vars: x1\n0 = x1 * * x1\n", 2, 10, "operand expected before '*'"),
+    ("vars: x1\n0 = x1 1\n", 2, 8, "operator expected before '1'"),
+    ("vars: x1 x2\n0 = x1 x2\n", 2, 8, "operator expected before 'x2'"),
+    ("vars: x1\n0 = x1 & x1\n", 2, 8, "unexpected character '&'"),
+    ("vars: x1\ny1 = x1 + 0\n", 2, 11, "unexpected character '0'"),
+    ("vars: x1\n0 = x1 +\n", 2, 8, "expression ends without an operand"),
+    ("vars: x1\ny1 =\n", 2, 5, "expression ends without an operand"),
+    ("vars: x1\n0 = x1 + z9\n", 2, 10, "undeclared variable 'z9'"),
+    ("vars: x1\ny1 = x1\ny2 = y1\n", 3, 6, "output variable 'y1' cannot appear in an expression"),
+    ("field: n=2\npoly: * X\n", 2, 7, "operand expected before '*'"),
+    ("field: n=2\npoly: X + + 1\n", 2, 11, "operand expected before '+'"),
+    ("field: n=2\npoly: 1 X\n", 2, 9, "operator expected before 'X'"),
+    ("field: n=2\npoly: 1 X^3\n", 2, 9, "operator expected before 'X'"),
+    ("field: n=2\npoly: X 1\n", 2, 9, "operator expected before '1'"),
+    ("field: n=2\npoly: X ^ 2\n", 2, 9, "unexpected character '^'"),
+    ("field: n=2\npoly: X +\n", 2, 9, "polynomial ends without an operand"),
+    ("field: n=2\npoly:\n", 2, 6, "polynomial ends without an operand"),
+    ("field: n=2\npoly: X*X^2\n", 2, 9, "repeated X factor in one term"),
+    ("field: n=2\npoly: 1*2*X\n", 2, 9, "repeated coefficient in one term"),
+    (f"field: n=2\npoly: X^{_LONG}\n", 2, 7, "exponent of 5000 digits is too long"),
+    ("field: n=2\npoly: 4*X + 1\n", 2, 11, "coefficient 0x4 outside the field of 4"),
+    ("field: n=2\npoly: X + 4*X^2\n", 2, 13, "coefficient 0x4 outside the field of 4"),
+    ("field: n=2 k=3\npoly: X\n", 1, 12, "expected n=... or modulus=..., got 'k=3'"),
+    ("field: n=x\npoly: X\n", 1, 8, "invalid degree 'x'"),
+    (f"field: n={_LONG}\npoly: X\n", 1, 8, "degree of 5000 digits is too long"),
+    ("field: n=3 modulus=12\npoly: X\n", 1, 12, "modulus must be a binary string, got '12'"),
+    ("field: modulus=111\npoly: X\n", 1, 7, "field declaration needs n=<degree>"),
+    ("field: n=17\npoly: X\n", 1, 7, "extension degree must be in 1..16"),
+    ("field: n=3 modulus=1001\npoly: X\n", 1, 7, "modulus 0b1001 is not irreducible of degree 3"),
+    ("vars: x\nvars: y\n", 2, 1, "duplicate vars declaration"),
+    ("field: n=2\nvars: x\n", 2, 1, "vars declaration cannot follow a field declaration"),
+    ("vars: x 1y\n", 1, 9, "invalid variable name '1y'"),
+    ("vars: x x\n", 1, 9, "duplicate variable 'x'"),
+    ("vars: x\nfield: n=2\n", 2, 1, "field declaration cannot follow a vars declaration"),
+    ("field: n=2\nfield: n=2\n", 2, 1, "duplicate field declaration"),
+    ("poly: X\n", 1, 1, "field declaration must precede poly"),
+    ("field: n=2\npoly: X\npoly: X\n", 3, 1, "duplicate poly declaration"),
+    ("vars: x\nhello\n", 2, 1, "expected 'vars:', 'field:', 'poly:' or an equation"),
+    ("y = 1\n", 1, 1, "equation before vars declaration"),
+    ("vars: x\ny = x\n0 = x\n", 3, 1, "file mixes map and system equations"),
+    ("vars: x\n0 = x\ny = x\n", 3, 1, "file mixes map and system equations"),
+    ("vars: x\n1y = x\n", 2, 1, "invalid equation target '1y'"),
+    ("vars: x\nx = x\n", 2, 1, "equation target 'x' is a declared input"),
+    ("vars: x\ny = x\ny = 1\n", 3, 1, "duplicate equation target 'y'"),
+    ("field: n=2\n", 1, 1, "field declared but no poly line"),
+    ("# nothing\n", 1, 1, "file declares no problem"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message", _PARSE_ERRORS, ids=[row[3] for row in _PARSE_ERRORS]
+)
+def test_every_parse_error_message_and_position(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(text)
+    assert (err.value.line, err.value.column, str(err.value)) == (
+        line,
+        column,
+        f"line {line}, column {column}: {message}",
+    )

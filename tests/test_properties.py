@@ -17,6 +17,7 @@ from boolinv.maps import BoolMap
 from boolinv.oracle import brute_image, brute_solutions
 from boolinv.parsing import (
     MapProblem,
+    ParseError,
     PolyProblem,
     SystemProblem,
     VarTable,
@@ -206,3 +207,15 @@ def test_malformed_input_exits_cleanly(data):
                 errors = [line for line in err.getvalue().split("\n") if line.startswith("error:")]
                 assert len(errors) == 1, (command, data, err.getvalue())
                 assert not errors[0].startswith("error: internal:"), (command, data, errors)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(malformed_files())
+def test_parse_error_positions_lie_inside_the_file(data):
+    text = data.decode("utf-8", errors="replace")
+    try:
+        parse_text(text)
+    except ParseError as err:
+        lines = text.splitlines() or [""]  # an empty file is reported at line 1
+        assert 1 <= err.line <= len(lines), (text, str(err))
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1, (text, str(err))
