@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .algebra import Assignment, MissingVariableError
+from .algebra import Assignment
 from .engine import DEFAULT_BOUND, MAX_BOUND, EngineConfig, implicants
 from .maps import (
     DEFAULT_MAX_POINTS,
@@ -281,6 +281,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     started = time.perf_counter()
+    out_of_memory = False
     try:
         cfg = EngineConfig(base_bound_m=args.bound)  # a bad --bound fails before the read
         if not 0 <= args.max_enum <= DEFAULT_MAX_POINTS:
@@ -290,10 +291,16 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, MissingVariableError, MemoryError) as exc:
-        # RuntimeError includes RecursionError.  Exit 1 means "decided
-        # negative", so an internal failure must not escape with it.
+    except MemoryError:
+        # reported below: here the traceback still holds the engine's frames,
+        # and building the message could run out of memory once more
+        out_of_memory = True
+    except Exception as exc:
+        # Exit 1 means "decided negative", so no internal failure may escape with it.
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    if out_of_memory:
+        print("error: internal: MemoryError: ", file=sys.stderr)
         return 2
     doc = {"schema": SCHEMA_VERSION, "command": args.command, "problem": _KIND[type(problem)], **body}
     if args.format == "json":

@@ -20,7 +20,8 @@ from enum import Enum
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, submasks
 from .engine import EngineConfig, implicants
 
-#: Explicit complement-of-image points are materialized only below this.
+#: Explicit complement-of-image points are materialized only when the output
+#: space has at most this many points.
 DEFAULT_MAX_POINTS = 1 << 20
 
 

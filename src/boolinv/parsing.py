@@ -80,8 +80,9 @@ class PolyProblem:
 Problem = Union[MapProblem, SystemProblem, PolyProblem]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ANF_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[+*]|1|\S")
-_POLY_TOKEN = re.compile(r"X(?:\^[0-9]+)?|[0-9a-fA-F]+|[+*]|\S")
+# each token class is a named group; _products needs `op` and `bad`, the rest are operands
+_ANF_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|(?P<op>[+*])|(?P<bad>\S)")
+_POLY_TOKEN = re.compile(r"(?P<x>X(?:\^[0-9]+)?)|(?P<coeff>[0-9a-fA-F]+)|(?P<op>[+*])|(?P<bad>\S)")
 
 
 def _strip_comment(line: str) -> str:
@@ -89,102 +90,94 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _parse_anf(body: str, offset: int, lineno: int, resolve) -> list[int]:
+def _products(body: str, offset: int, lineno: int, token: re.Pattern, what: str):
+    """Operands of each product in a `+`-sum of `*`-products.
+
+    The whole expression's syntax is checked first, so a syntax error
+    is reported before any bad name or value on the line.  Returns one
+    ``(operands, end)`` per product, where ``operands`` lists
+    ``(kind, text, column)`` and ``end`` is the column of the `+` that
+    closes the product, or of the last token for the final product.
+    """
+    products = []
+    operands: list[tuple[str, str, int]] = []
+    expect_operand = True
+    col = offset + 1
+    for m in token.finditer(body):
+        kind, tok = m.lastgroup, m.group()
+        col = offset + m.start() + 1
+        if kind == "op":
+            if expect_operand:
+                raise ParseError(f"operand expected before '{tok}'", lineno, col)
+            if tok == "+":
+                products.append((operands, col))
+                operands = []
+            expect_operand = True
+        elif kind == "bad":
+            raise ParseError(f"unexpected character '{tok}'", lineno, col)
+        elif expect_operand:
+            operands.append((kind, tok, col))
+            expect_operand = False
+        else:
+            raise ParseError(f"operator expected before '{tok}'", lineno, col)
+    if expect_operand:
+        raise ParseError(f"{what} ends without an operand", lineno, col)
+    products.append((operands, col))
+    return products
+
+
+def _parse_anf(
+    body: str, offset: int, lineno: int, bits: dict[str, int], outputs: dict[str, None]
+) -> list[int]:
     """Monomials of a sum-of-products expression, repeats included.
 
-    ``resolve`` maps a name to a var id; the lone ``0`` has none.
+    ``bits`` maps each input name to its bit; the lone ``0`` has none.
     """
     if body.strip() == "0":
         return []
-    monomials: list[int] = []
-    current: int | None = None
-    expect_atom = True
-    last_col = offset + 1
-    for m in _ANF_TOKEN.finditer(body):
-        tok = m.group()
-        col = offset + m.start() + 1
-        last_col = col
-        if tok == "+" or tok == "*":
-            if expect_atom:
-                raise ParseError(f"operand expected before '{tok}'", lineno, col)
-            if tok == "+":
-                monomials.append(current)
-                current = None
-            expect_atom = True
-        elif tok == "1":
-            if not expect_atom:
-                raise ParseError("operator expected before '1'", lineno, col)
-            current = current if current is not None else 0
-            expect_atom = False
-        elif _IDENT.fullmatch(tok):
-            if not expect_atom:
-                raise ParseError(f"operator expected before '{tok}'", lineno, col)
-            var = resolve(tok, lineno, col)
-            current = (current or 0) | (1 << var)
-            expect_atom = False
-        else:
-            raise ParseError(f"unexpected character '{tok}'", lineno, col)
-    if expect_atom:
-        raise ParseError("expression ends without an operand", lineno, last_col)
-    monomials.append(current)
+    monomials = []
+    for operands, _ in _products(body, offset, lineno, _ANF_TOKEN, "expression"):
+        mono = 0
+        for kind, name, col in operands:
+            if kind == "one":
+                continue
+            bit = bits.get(name)
+            if bit is None:
+                if name in outputs:
+                    raise ParseError(
+                        f"output variable '{name}' cannot appear in an expression", lineno, col
+                    )
+                raise ParseError(f"undeclared variable '{name}'", lineno, col)
+            mono |= bit
+        monomials.append(mono)
     return monomials
 
 
 def _parse_poly(body: str, offset: int, lineno: int, spec: FieldSpec) -> UniPoly:
     coeffs: dict[int, int] = {}
-    term_coeff: int | None = None
-    term_exp: int | None = None
-    expect_atom = True
-
-    def close_term(col: int) -> None:
-        if term_coeff is None and term_exp is None:
-            raise ParseError("empty polynomial term", lineno, col)
-        c = 1 if term_coeff is None else term_coeff
-        e = 0 if term_exp is None else term_exp
+    for operands, end in _products(body, offset, lineno, _POLY_TOKEN, "polynomial"):
+        c = e = None
+        for kind, tok, col in operands:
+            if kind == "coeff":
+                if c is not None:
+                    raise ParseError("repeated coefficient in one term", lineno, col)
+                c = int(tok, 16)
+            elif e is not None:  # a second X^e
+                raise ParseError("repeated X factor in one term", lineno, col)
+            else:
+                try:
+                    e = int(tok[2:]) if len(tok) > 1 else 1
+                except ValueError:  # past the interpreter's int-string digit limit
+                    raise ParseError(
+                        f"exponent of {len(tok) - 2} digits is too long", lineno, col
+                    ) from None
+        c = 1 if c is None else c
+        e = 0 if e is None else e
+        if c >= spec.order:
+            raise ParseError(f"coefficient {c:#x} outside the field of {spec.order}", lineno, end)
         if e:  # x^(2^n) = x at every field point, so X^e is this same function
             e = (e - 1) % (spec.order - 1) + 1
-        if c >= spec.order:
-            raise ParseError(
-                f"coefficient {c:#x} outside the field of {spec.order}", lineno, col
-            )
         coeffs[e] = coeffs.get(e, 0) ^ c  # repeated exponents add in the field
-
-    last_col = offset + 1
-    for m in _POLY_TOKEN.finditer(body):
-        tok = m.group()
-        col = offset + m.start() + 1
-        last_col = col
-        if tok == "+" or tok == "*":
-            if expect_atom:
-                raise ParseError(f"operand expected before '{tok}'", lineno, col)
-            if tok == "+":
-                close_term(col)
-                term_coeff = term_exp = None
-            expect_atom = True
-        elif tok.startswith("X"):
-            if not expect_atom:
-                raise ParseError("operator expected before 'X'", lineno, col)
-            if term_exp is not None:
-                raise ParseError("repeated X factor in one term", lineno, col)
-            try:
-                term_exp = int(tok[2:]) if len(tok) > 1 else 1
-            except ValueError:  # past the interpreter's int-string digit limit
-                raise ParseError(
-                    f"exponent of {len(tok) - 2} digits is too long", lineno, col
-                ) from None
-            expect_atom = False
-        elif re.fullmatch(r"[0-9a-fA-F]+", tok):
-            if not expect_atom:
-                raise ParseError(f"operator expected before '{tok}'", lineno, col)
-            if term_coeff is not None:
-                raise ParseError("repeated coefficient in one term", lineno, col)
-            term_coeff = int(tok, 16)
-            expect_atom = False
-        else:
-            raise ParseError(f"unexpected character '{tok}'", lineno, col)
-    if expect_atom:
-        raise ParseError("polynomial ends without an operand", lineno, last_col)
-    close_term(last_col)
     degree = max(coeffs)
     return UniPoly.of(spec, [coeffs.get(e, 0) for e in range(degree + 1)])
 
@@ -229,18 +222,8 @@ def parse_text(text: str) -> Problem:
     spec: FieldSpec | None = None
     poly: UniPoly | None = None
     lineno = 0
-    ids: dict[str, int] = {}  # input name -> variable id
+    bits: dict[str, int] = {}  # input name -> its bit in a monomial mask
     uni = 0
-
-    def resolve_input(name: str, ln: int, col: int) -> int:
-        var = ids.get(name)
-        if var is not None:
-            return var
-        if name in targets:
-            raise ParseError(
-                f"output variable '{name}' cannot appear in an expression", ln, col
-            )
-        raise ParseError(f"undeclared variable '{name}'", ln, col)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
@@ -264,9 +247,9 @@ def parse_text(text: str) -> Problem:
                 col = indent + 5 + m.start() + 1
                 if not _IDENT.fullmatch(name):
                     raise ParseError(f"invalid variable name '{name}'", lineno, col)
-                if name in ids:
+                if name in bits:
                     raise ParseError(f"duplicate variable '{name}'", lineno, col)
-                ids[name] = len(inputs)
+                bits[name] = 1 << len(inputs)
                 inputs.append(name)
             uni = (1 << len(inputs)) - 1
             continue
@@ -300,27 +283,21 @@ def parse_text(text: str) -> Problem:
         if not declared:
             raise ParseError("equation before vars declaration", lineno, indent + 1)
         rhs_offset = len(line) - len(rhs)
+        if targets if lhs_name == "0" else factors:
+            raise ParseError("file mixes map and system equations", lineno, indent + 1)
         if lhs_name == "0":
-            if targets:
-                raise ParseError(
-                    "file mixes map and system equations", lineno, indent + 1
-                )
-            f = _parse_anf(rhs, rhs_offset, lineno, resolve_input)
+            f = _parse_anf(rhs, rhs_offset, lineno, bits, targets)
             factors.append(Anf.from_monomials([*f, 0], uni))  # f = 0 becomes factor f + 1
         else:
-            if factors:
-                raise ParseError(
-                    "file mixes map and system equations", lineno, indent + 1
-                )
             if not _IDENT.fullmatch(lhs_name):
                 raise ParseError(f"invalid equation target '{lhs_name}'", lineno, indent + 1)
-            if lhs_name in ids:
+            if lhs_name in bits:
                 raise ParseError(
                     f"equation target '{lhs_name}' is a declared input", lineno, indent + 1
                 )
             if lhs_name in targets:
                 raise ParseError(f"duplicate equation target '{lhs_name}'", lineno, indent + 1)
-            f = _parse_anf(rhs, rhs_offset, lineno, resolve_input)
+            f = _parse_anf(rhs, rhs_offset, lineno, bits, targets)
             coords.append(Anf.from_monomials(f, uni))
             targets[lhs_name] = None
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -368,6 +369,13 @@ def test_bound_beyond_cap_exits_2_at_once(capsys):
     assert run(capsys, "invert", SHIFT, "--bound", "20")[0] == 0
 
 
+class _UnprintableMemoryError(MemoryError):
+    """Stands in for an allocation that fails while the error is reported."""
+
+    def __str__(self):
+        raise MemoryError
+
+
 @pytest.mark.parametrize(
     "exc",
     [
@@ -375,6 +383,8 @@ def test_bound_beyond_cap_exits_2_at_once(capsys):
         RecursionError("maximum recursion depth exceeded"),
         MissingVariableError(3),
         MemoryError(),
+        TypeError("unsupported operand"),
+        _UnprintableMemoryError(),
     ],
 )
 def test_internal_errors_exit_2(capsys, monkeypatch, exc):
@@ -383,12 +393,14 @@ def test_internal_errors_exit_2(capsys, monkeypatch, exc):
 
     monkeypatch.setattr(boolinv.maps, "implicants", broken)
     monkeypatch.setattr(boolinv.cli, "implicants", broken)
+    # every MemoryError is reported by one fixed line, built after the handler
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     for command in ("invert", "implicants"):
         code, out, err = run(capsys, command, SHIFT)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith(f"error: internal: {type(exc).__name__}")
+        assert err.startswith(f"error: internal: {name}")
 
 
 def test_text_output_smoke(capsys):
@@ -407,6 +419,17 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["one_to_one"] is True
+
+
+def test_declared_console_script_is_main(capsys):
+    # the script itself is not installed in a checkout: resolve its pyproject entry
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["boolinv"]
+    entry = importlib.metadata.EntryPoint("boolinv", target, "console_scripts").load()
+    assert entry is boolinv.cli.main
+    code = entry(["permpoly", CUBE_F16])
+    assert (code, capsys.readouterr().out) == (1, "permutation: no\n")
 
 
 def test_module_invocation_runs():

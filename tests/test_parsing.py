@@ -223,7 +223,7 @@ _PARSE_ERRORS = [
     ("field: n=2\npoly: * X\n", 2, 7, "operand expected before '*'"),
     ("field: n=2\npoly: X + + 1\n", 2, 11, "operand expected before '+'"),
     ("field: n=2\npoly: 1 X\n", 2, 9, "operator expected before 'X'"),
-    ("field: n=2\npoly: 1 X^3\n", 2, 9, "operator expected before 'X'"),
+    ("field: n=2\npoly: 1 X^3\n", 2, 9, "operator expected before 'X^3'"),
     ("field: n=2\npoly: X 1\n", 2, 9, "operator expected before '1'"),
     ("field: n=2\npoly: X ^ 2\n", 2, 9, "unexpected character '^'"),
     ("field: n=2\npoly: X +\n", 2, 9, "polynomial ends without an operand"),
@@ -257,6 +257,9 @@ _PARSE_ERRORS = [
     ("vars: x\ny = x\ny = 1\n", 3, 1, "duplicate equation target 'y'"),
     ("field: n=2\n", 1, 1, "field declared but no poly line"),
     ("# nothing\n", 1, 1, "file declares no problem"),
+    # two errors on one line: the syntax error comes before a bad name or value
+    ("vars: x\n0 = z +\n", 2, 7, "expression ends without an operand"),
+    ("field: n=2\npoly: 7*X + X X\n", 2, 15, "operator expected before 'X'"),
 ]
 
 
