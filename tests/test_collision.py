@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from boolinv.algebra import Anf, BoolSystem, Term, is_implicant, mask_of
+import boolinv.collision
+from boolinv.algebra import (
+    Anf,
+    BoolSystem,
+    ImplicantSet,
+    Term,
+    is_implicant,
+    mask_of,
+)
 from boolinv.collision import (
     _inside_diagonal,
     _witness_from_term,
@@ -38,6 +46,10 @@ def test_build_shift_map_shadows_nonlinear_terms():
     assert sys_.factors[2].monomials == frozenset(
         (1 << 0, 0b110, 1 << 3, 0b110000, 0)
     )
+    quad = build_collision_system(quad_map())
+    # f4 = x2 x4 + 1: the constants of both copies cancel and h4 keeps its + 1
+    assert quad.factors[3].monomials == frozenset((0b1010, 0b1010 << 4, 0))
+    assert all(h.universe == quad.universe == 0xFF for h in quad.factors)
 
 
 def test_build_and_factor_shares_monomial_shape():
@@ -95,6 +107,19 @@ def test_identity_cover_is_exactly_the_diagonal():
     cover = collision_implicants(F)
     assert set(cover.terms) == set(diagonal_set(2))
     assert is_one_to_one_diagonal(F).one_to_one
+
+
+@pytest.mark.parametrize("n", [3, 13])
+def test_positive_verdict_needs_every_diagonal_minterm(monkeypatch, n):
+    # minterm 5 left out, then minterm 4 listed twice in its place
+    d = diagonal_set(n)
+    for terms in (d[:5] + d[6:], d[:5] + d[4:5] + d[6:]):
+        cover = ImplicantSet(terms, (1 << 2 * n) - 1)
+        monkeypatch.setattr(
+            boolinv.collision, "collision_implicants", lambda F, cfg=None: cover
+        )
+        with pytest.raises(RuntimeError, match="differs from the diagonal set"):
+            is_one_to_one_diagonal(identity_map(n))
 
 
 def test_quad_map_rejected_by_diagonal_method():

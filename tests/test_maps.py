@@ -60,6 +60,9 @@ def test_graph_system_quad_constant_cancels():
     sys = build_graph_system(quad_map())
     # f4 = x2 x4 + 1, so h4 = x2 x4 + 1 + y4 + 1 = x2 x4 + y4
     assert sys.factors[3].monomials == frozenset((0b1010, 1 << 7))
+    # f1 = x1 x3 has no constant, so h1 = x1 x3 + y1 + 1 keeps the 1
+    assert sys.factors[0].monomials == frozenset((0b0101, 1 << 4, 0))
+    assert all(h.universe == sys.universe == 0xFF for h in sys.factors)
 
 
 def test_shift_map_invertible():
@@ -237,6 +240,57 @@ def test_graph_cover_output_parts_are_minterms_on_corpus():
             r = Term(t.pos & F.x_universe, t.neg & F.x_universe)
             for x in r.expand(F.x_universe):
                 assert F.evaluate(Assignment(F.x_universe, x.pos)) == t.pos >> n
+
+
+def _hand_made_cover(monkeypatch, F, *points):
+    """Make graph_implicants return one term per ``{var: bit}`` literal dict."""
+    terms = tuple(Term.of(*lits.items()) for lits in points)
+    cover = ImplicantSet(terms, F.x_universe | F.y_universe)
+    monkeypatch.setattr(boolinv.maps, "graph_implicants", lambda F, cfg=None: cover)
+
+
+def test_repeated_output_wins_over_an_earlier_free_cube(monkeypatch):
+    F = identity_map(2)  # x1, x2 are vars 0, 1; y1, y2 are vars 2, 3
+    _hand_made_cover(
+        monkeypatch,
+        F,
+        {0: 0, 2: 0, 3: 0},  # x2 free, listed first
+        {0: 1, 1: 0, 2: 1, 3: 0},
+        {0: 1, 1: 1, 2: 1, 3: 0},  # same output as the term before
+    )
+    v = is_one_to_one_general(F)
+    assert not v.one_to_one
+    assert v.y_minterm_count == 2
+    assert [a.trues for a in v.witness] == [0b01, 0b11]
+    assert all(a.universe == F.x_universe for a in v.witness)
+
+
+def test_free_cube_witness_sets_its_lowest_free_input(monkeypatch):
+    F = identity_map(3)
+    _hand_made_cover(
+        monkeypatch,
+        F,
+        {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0},
+        {1: 1, 3: 1, 4: 0, 5: 0},  # x1 and x3 free
+        {2: 1, 3: 0, 4: 1, 5: 0},  # x1 and x2 free
+    )
+    v = is_one_to_one_general(F)
+    assert not v.one_to_one
+    assert v.y_minterm_count == 3
+    assert [a.trues for a in v.witness] == [0b010, 0b011]
+
+
+def test_missing_outputs_without_a_collision_is_an_engine_defect(monkeypatch):
+    F = identity_map(2)
+    _hand_made_cover(
+        monkeypatch,
+        F,
+        {0: 0, 1: 0, 2: 0, 3: 0},
+        {0: 1, 1: 0, 2: 1, 3: 0},
+        {0: 0, 1: 1, 2: 0, 3: 1},
+    )
+    with pytest.raises(RuntimeError, match="without extractable witness"):
+        is_invertible_square(F)
 
 
 def test_graph_cover_guard_rejects_a_free_output(monkeypatch):
