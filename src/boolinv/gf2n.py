@@ -150,7 +150,11 @@ def _default_spec(n: int) -> FieldSpec:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Univariate polynomial; coefficient index = exponent."""
+    """Univariate polynomial; coefficient index = exponent.
+
+    ``terms``, the nonzero ``(exponent, coefficient)`` pairs in rising
+    exponent, is computed once on construction and is not a field.
+    """
 
     spec: FieldSpec
     coefficients: tuple[FieldElem, ...]
@@ -159,10 +163,11 @@ class UniPoly:
         for c in self.coefficients:
             if c.spec != self.spec:
                 raise ValueError("coefficient from a different field")
-        trimmed = self.coefficients
-        while trimmed and trimmed[-1].is_zero:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "coefficients", trimmed)
+        terms = tuple((e, c) for e, c in enumerate(self.coefficients) if not c.is_zero)
+        degree = terms[-1][0] if terms else -1
+        object.__setattr__(self, "coefficients", self.coefficients[: degree + 1])
+        # not a field, so equality and hashing still see only the coefficients
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "UniPoly":
@@ -178,12 +183,23 @@ class UniPoly:
         return len(self.coefficients) - 1
 
     def evaluate(self, x: FieldElem) -> FieldElem:
+        """Horner's rule over the nonzero terms.
+
+        The step between two terms multiplies by x**gap, each distinct
+        gap raised once, so a sparse polynomial costs a few products per
+        term whatever its degree and a dense one costs one product per
+        coefficient.
+        """
         if x.spec != self.spec:
             raise ValueError("point from a different field")
-        acc = self.spec.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        acc, above, steps = self.spec.zero(), max(self.degree, 0), {}
+        for e, c in reversed(self.terms):
+            gap = above - e
+            if gap not in steps:
+                steps[gap] = x**gap
+            acc = acc * steps[gap] + c
+            above = e
+        return acc * x**above
 
 
 @lru_cache(maxsize=32)
@@ -218,8 +234,8 @@ def _value_table(p: UniPoly) -> list[int]:
     q = spec.order - 1
     exp, log = _exp_log(spec)
     by_log = [0] * q  # by_log[i] = p(exp[i]) minus the constant term
-    for e, c in enumerate(p.coefficients):
-        if e and c.value:
+    for e, c in p.terms:
+        if e:
             lc, step = log[c.value], e % q
             by_log = [y ^ exp[(lc + step * i) % q] for i, y in enumerate(by_log)]
     c0 = p.coefficients[0].value if p.coefficients else 0

@@ -8,8 +8,10 @@ r_i(X)·s_i(Y), an input cube times one output point.  The cover is read
 in place with masks: ``t.pos & F.x_universe`` is the plain part of the
 input cube and ``t.pos & F.y_universe`` names the output point, which
 decides injectivity, image and the complement of the image without
-enumerating inputs.  The complement is answered in output words,
-``t.pos >> n_in``, the packing of ``BoolMap.evaluate``.
+enumerating inputs.  Injectivity is one pass over the cover: it keeps
+the first input point of each output, the first repeated output and
+the first input cube with a free variable.  The complement is answered
+in output words, ``t.pos >> n_in``, the packing of ``BoolMap.evaluate``.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ class BoolMap:
     @property
     def y_universe(self) -> int:
         return ((1 << self.m_out) - 1) << self.n_in
-
-    def y_var(self, j: int) -> int:
-        return self.n_in + j
 
     def evaluate(self, a: Assignment) -> int:
         """Output packed with coordinate j at bit j."""
@@ -128,8 +127,7 @@ def build_graph_system(F: BoolMap) -> BoolSystem:
     """Factors h_i = f_i + y_i + 1, each 1 exactly when y_i = f_i(x)."""
     uni = F.x_universe | F.y_universe
     factors = tuple(
-        f.with_universe(uni) ^ Anf.variable(F.y_var(j), uni) ^ Anf.one(uni)
-        for j, f in enumerate(F.coords)
+        Anf(f.monomials ^ {1 << (F.n_in + j), 0}, uni) for j, f in enumerate(F.coords)
     )
     return BoolSystem(factors, uni)
 
@@ -149,39 +147,32 @@ def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSe
     return cover
 
 
-def _collision_witness(
-    cover: ImplicantSet, F: BoolMap
-) -> tuple[Assignment, Assignment] | None:
-    """Two distinct inputs with equal output, read off the graph cover.
+def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
+    """Count the distinct output points; on a shortfall, name a collision.
 
-    Either two terms share one output point (their input cubes are
-    disjoint by orthogonality), or some input cube has a free variable
-    and collides within itself.
+    Two terms sharing one output point have disjoint input cubes by
+    orthogonality, so their points collide; this pair wins.  Otherwise
+    an input cube with a free variable collides within itself.
     """
     x_mask, y_mask = F.x_universe, F.y_universe
     first_x_by_y: dict[int, int] = {}
-    for t in cover.terms:
+    repeated = free_cube = None
+    for t in graph_implicants(F, cfg).terms:
         y, x = t.pos & y_mask, t.pos & x_mask
-        if y in first_x_by_y:
-            return Assignment(x_mask, first_x_by_y[y]), Assignment(x_mask, x)
-        first_x_by_y[y] = x
-    for t in cover.terms:
+        if y not in first_x_by_y:
+            first_x_by_y[y] = x
+        elif repeated is None:
+            repeated = first_x_by_y[y], x
         free = x_mask & ~t.vars_mask
-        if free:
-            x = t.pos & x_mask
-            return Assignment(x_mask, x), Assignment(x_mask, x | (free & -free))
-    return None
-
-
-def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
-    cover = graph_implicants(F, cfg)
-    y_mask = F.y_universe
-    count = len({t.pos & y_mask for t in cover.terms})
+        if free and free_cube is None:
+            free_cube = x, x | (free & -free)
+    count = len(first_x_by_y)
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
-    witness = _collision_witness(cover, F)
-    if witness is None:
+    pair = repeated or free_cube
+    if pair is None:
         raise RuntimeError("non-injective map without extractable witness")
+    witness = tuple(Assignment(x_mask, x) for x in pair)
     return Verdict(False, witness, count)
 
 

@@ -39,11 +39,6 @@ class VarTable:
     names: tuple[str, ...]
     n_in: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_ids", {name: i for i, name in enumerate(self.names)}
-        )
-
     @property
     def inputs(self) -> tuple[str, ...]:
         return self.names[: self.n_in]
@@ -51,9 +46,6 @@ class VarTable:
     @property
     def outputs(self) -> tuple[str, ...]:
         return self.names[self.n_in :]
-
-    def id(self, name: str) -> int | None:
-        return self._ids.get(name)
 
     def name(self, var: int) -> str:
         return self.names[var]

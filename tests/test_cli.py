@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,9 @@ def test_invert_quad_negative_exit(capsys):
 
 
 def _as_assignment(obj, table):
-    return Assignment.from_values({table.id(name): bit for name, bit in obj.items()})
+    return Assignment.from_values(
+        {table.names.index(name): bit for name, bit in obj.items()}
+    )
 
 
 def test_invert_witness_is_a_real_collision(capsys):
@@ -243,6 +246,18 @@ def test_oracle_poly(capsys):
     code, doc = run_json(capsys, "oracle", CUBE_F16)
     assert code == 1
     assert doc["permutation"] is False and doc["image_size"] == 6
+
+
+def test_oracle_poly_of_high_degree_is_fast(capsys, tmp_path):
+    # X^1022 permutes GF(2^10): gcd(1022, 1023) = 1.  Each point costs
+    # one power, not a pass over all 1,023 dense coefficients.
+    path = tmp_path / "x1022.txt"
+    path.write_text("field: n=10\npoly: X^1022\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", path)
+    assert time.perf_counter() - started < 2.5
+    assert code == 0
+    assert out.splitlines()[-2:] == ["permutation: yes", "image size: 1024"]
 
 
 def test_oracle_poly_respects_max_enum(capsys):

@@ -100,7 +100,10 @@ def test_unipoly_trims_and_evaluates():
     assert p.degree == 2
     x = spec.element(0b110)
     assert p.evaluate(x) == spec.element(3) + x * x
+    assert p.terms == ((0, spec.element(3)), (2, spec.one()))
+    assert p.evaluate(spec.zero()) == spec.element(3)
     assert UniPoly.of(spec, [0, 0]).degree == -1
+    assert UniPoly.of(spec, [0, 0]).evaluate(x) == spec.zero()
 
 
 def test_coordinate_functions_identity():

@@ -80,6 +80,15 @@ def test_parse_poly_folds_large_exponents():
     assert parse_text("field: n=4\npoly: X^16 + X\n").poly.degree == -1
 
 
+def test_cancelling_top_terms_trim_in_one_step():
+    # 65,536 zero coefficients reach UniPoly; trimming them must not be quadratic
+    started = time.perf_counter()
+    p = parse_text("field: n=16\npoly: X^65535 + X^65535\n")
+    assert time.perf_counter() - started < 5.0
+    assert p.poly.degree == -1
+    assert p.poly.coefficients == () and p.poly.terms == ()
+
+
 def test_numbers_past_the_int_string_limit_are_parse_errors():
     digits = "1" * 5000
     with pytest.raises(ParseError, match="exponent of 5000 digits") as err:
