@@ -3,7 +3,8 @@
 Each case runs ``boolinv.cli.main`` in-process on one input file with
 one format and one flag set, and records the SHA-256 of its exit code,
 stdout and stderr (less the ``[boolinv] ... elapsed=`` timing line) in
-``fixtures/cli_golden.json``.  A change that is meant to keep the CLI
+``fixtures/cli_golden.json``.  The usage cases give argv that argparse
+refuses or answers with help; they record the ``SystemExit`` code.  A change that is meant to keep the CLI
 bytes must pass this test unchanged.  To regenerate the fixture after a
 deliberate output change, run
 
@@ -18,10 +19,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
@@ -39,6 +43,15 @@ GOLDEN = FIXTURES / "cli_golden.json"
 MAPS = ((35, 3, 5), (55, 5, 5), (43, 4, 3), (57, 5, 7))
 FORMATS = ("text", "json")
 FLAGS = ((), ("--bound", "2"), ("--max-enum", "8"))
+#: argv refused by argparse, or answered with help; FILE is quad.txt
+USAGE = (
+    ("invert", "FILE", "--frobnicate"),
+    ("invert", "FILE", "--format", "xml"),
+    ("invert",),
+    ("frobnicate", "FILE"),
+    (),
+    ("invert", "--help"),
+)
 
 
 def _write_maps(directory: Path) -> dict[str, Path]:
@@ -52,18 +65,29 @@ def _write_maps(directory: Path) -> dict[str, Path]:
     return out
 
 
+def _usage_bytes(text: str) -> str:
+    # argparse quotes the choices it lists up to Python 3.12.7 and 3.13.0, not after
+    return re.sub(r"\(choose from [^)]*\)", lambda m: m.group().replace("'", ""), text)
+
+
 def _digest(argv: list[str], path: Path, label: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
     kept = [
         line
         for line in err.getvalue().splitlines(keepends=True)
         if not (line.startswith("[boolinv] ") and " elapsed=" in line)
     ]
+    record = [code, out.getvalue(), "".join(kept)]
+    if isinstance(code, str):
+        record[1:] = map(_usage_bytes, record[1:])
     # the checkout's location must not reach the digest
-    record = json.dumps([code, out.getvalue(), "".join(kept)]).replace(str(path), label)
-    return hashlib.sha256(record.encode()).hexdigest()
+    text = json.dumps(record).replace(str(path), label)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digests() -> dict[str, str]:
@@ -78,6 +102,13 @@ def digests() -> dict[str, str]:
                         argv = [command, str(path), "--format", fmt, *flags]
                         case = " ".join([command, label, "--format", fmt, *flags])
                         got[case] = _digest(argv, path, label)
+        quad = inputs["quad.txt"]
+        # help and usage lines wrap at the terminal's width
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            for argv in USAGE:
+                case = " ".join(["usage:", *argv]).replace("FILE", "quad.txt")
+                argv = [str(quad) if a == "FILE" else a for a in argv]
+                got[case] = _digest(argv, quad, "quad.txt")
         return got
 
 
