@@ -236,12 +236,15 @@ class Anf:
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[int], universe: int | None = None) -> "Anf":
-        acc: set[int] = set()
-        for m in monomials:
-            if m in acc:
-                acc.remove(m)
-            else:
-                acc.add(m)
+        monomials = list(monomials)
+        acc = set(monomials)
+        if len(acc) < len(monomials):  # repeated monomials cancel in pairs
+            acc = set()
+            for m in monomials:
+                if m in acc:
+                    acc.remove(m)
+                else:
+                    acc.add(m)
         if universe is None:
             universe = 0
             for m in acc:
@@ -270,7 +273,7 @@ class Anf:
         return self.monomials == _ONE
 
     def with_universe(self, universe: int) -> "Anf":
-        return Anf(self.monomials, universe)
+        return self if universe == self.universe else Anf(self.monomials, universe)
 
     def sorted_monomials(self) -> list[int]:
         return sorted(self.monomials, key=_sorted_monomial)

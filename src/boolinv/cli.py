@@ -6,6 +6,10 @@ JSON document opens with ``schema``, ``command`` and ``problem``.  Exit
 status: 1 when the document holds ``False`` under ``one_to_one``,
 ``permutation`` or ``injective`` (decided negative), 2 on an error,
 including an internal failure of the engine, and 0 otherwise.
+
+Each handler returns the document's body and its text lines, which may
+be lazy: they are only read for ``--format text``.  JSON is written by
+``_json``, byte for byte the output of ``json.dumps(doc, indent=2)``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, repeat
+from operator import and_, rshift
 
 from .algebra import Assignment
 from .engine import DEFAULT_BOUND, MAX_BOUND, EngineConfig, implicants
@@ -30,7 +36,7 @@ from .maps import (
 )
 from .collision import is_one_to_one_diagonal
 from .oracle import brute_image_count, brute_injective, brute_solutions
-from .gf2n import is_permutation_polynomial
+from .gf2n import check_term_points, is_permutation_polynomial
 from .parsing import (
     MapProblem,
     PolyProblem,
@@ -52,7 +58,7 @@ _KIND = {MapProblem: "map", SystemProblem: "system", PolyProblem: "poly"}
 _VERDICT_KEYS = ("one_to_one", "permutation", "injective")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="boolinv",
         description="Invertibility and image analysis of Boolean maps "
@@ -86,11 +92,66 @@ def _build_parser() -> argparse.ArgumentParser:
         ("oracle", "brute-force ground truth for the same decisions"),
     ):
         sub.add_parser(name, help=text, parents=[common])
-    return parser
+    return parser, sub.choices
 
 
 #: Built once per process: the tree costs more than a small command.
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with a known command parsed by its own parser.
+
+    This skips the top-level parser's own pass over ``argv``.  That
+    parser still answers an unknown command, ``--help`` and an empty
+    argv, and it reports leftover arguments, so every usage error keeps
+    its bytes.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder, in C
+
+
+def _json(value, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, for str keys.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
+    set; here the layout is joined and every string is encoded in C.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        try:
+            body = ("," + inner).join(map(_encode_str, value))  # a list of strings
+        except TypeError:
+            body = ("," + inner).join([_json(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)  # any other scalar
 
 
 def _assignment_obj(a: Assignment, table: VarTable) -> dict:
@@ -120,7 +181,7 @@ def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:
     return problem.map, problem.table
 
 
-def _run_implicants(problem: Problem, args, cfg: EngineConfig) -> tuple[dict, list[str]]:
+def _run_implicants(problem: Problem, args, cfg: EngineConfig):
     if isinstance(problem, MapProblem):
         sys_ = build_graph_system(problem.map)
     elif isinstance(problem, SystemProblem):
@@ -136,11 +197,10 @@ def _run_implicants(problem: Problem, args, cfg: EngineConfig) -> tuple[dict, li
         "satisfying_total": cover.satisfying_total(),
         "terms": terms,
     }
-    lines = [
-        f"implicants: {len(cover)}",
-        f"assignments covered: {cover.satisfying_total()}",
-        *("  " + t for t in terms),
-    ]
+    lines = chain(
+        [f"implicants: {len(cover)}", f"assignments covered: {body['satisfying_total']}"],
+        map("  ".__add__, terms),
+    )
     return body, lines
 
 
@@ -167,34 +227,52 @@ def _run_verdict(problem: Problem, args, cfg: EngineConfig):
     return body, lines
 
 
+def _word_rows(words, cells, sep: str) -> list[str]:
+    """One row per output word: ``cells[j][bit j of the word]``, joined by ``sep``.
+
+    The outputs go in groups, each one table lookup per word: a group's
+    table holds every rendering of its outputs, built by doubling, and
+    its width grows with the word count up to 8 outputs.
+    """
+    width = min(8, max(1, len(words).bit_length()))
+    mask = (1 << width) - 1
+    columns = []
+    for lo in range(0, len(cells), width):
+        group = cells[lo : lo + width]
+        table = list(group[-1])
+        for pair in reversed(group[:-1]):  # bit 0 of the index is the group's first output
+            table = [c + sep + t for t in table for c in pair]
+        index = map(and_, map(rshift, words, repeat(lo)), repeat(mask))
+        columns.append(map(table.__getitem__, index))
+    return list(map(sep.join, zip(*columns)))
+
+
 def _run_complement(problem: Problem, args, cfg: EngineConfig):
     F, table = _need_map(problem, args.command)
     fn = goe if args.command == "goe" else coi
     res = fn(F, cfg, max_points=args.max_enum)
-    # character j of a word's string is y_j; a parsed map has at least one output
-    row = f"0{F.m_out}b"
+    # character j of a point is y_j; a parsed map has at least one output
     points = None
     if res.points is not None:
-        points = [format(w, row)[::-1] for w in res.points]
-    # the paper's s_i' = 1 for every image minterm s_i, written s_i = 0
+        points = _word_rows(res.points, [("0", "1")] * F.m_out, "")
+    # the paper's s_i' = 1 for every image minterm s_i, written s_i = 0; the
+    # last output's cells end the equation
     literals = [(name + "'", name) for name in table.outputs]
-    factors = [
-        " ".join(pair[ch == "1"] for pair, ch in zip(literals, format(w, row)[::-1])) + " = 0"
-        for w in res.image
-    ]
+    literals[-1] = (literals[-1][0] + " = 0", literals[-1][1] + " = 0")
     body = {
         "outputs": list(table.outputs),
         "size": res.size,
         "points": points,
-        "system": factors,
+        "system": _word_rows(res.image, literals, " "),
     }
-    lines = [f"missing outputs: {res.size}"]
-    if points is not None:
-        lines.extend("  " + p for p in points)
-    else:
-        lines.append(f"  (not enumerated: output space exceeds --max-enum {args.max_enum})")
-    lines.append("defining system:")
-    lines.extend("  " + f for f in factors)
+    lines = chain(
+        [f"missing outputs: {res.size}"],
+        [f"  (not enumerated: output space exceeds --max-enum {args.max_enum})"]
+        if points is None
+        else map("  ".__add__, points),
+        ["defining system:"],
+        map("  ".__add__, body["system"]),
+    )
     return body, lines
 
 
@@ -259,6 +337,7 @@ def _run_oracle(problem: Problem, args, cfg: EngineConfig):
     p, spec = problem.poly, problem.spec
     if spec.n > cap:
         raise ValueError(f"2^{spec.n} points exceed --max-enum {args.max_enum}")
+    check_term_points(p)
     image = {p.evaluate(spec.element(v)).value for v in range(spec.order)}
     ok = len(image) == spec.order
     body = {"permutation": ok, "image_size": len(image)}
@@ -279,7 +358,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     out_of_memory = False
     try:
@@ -304,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     doc = {"schema": SCHEMA_VERSION, "command": args.command, "problem": _KIND[type(problem)], **body}
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         print("\n".join(lines))
     elapsed = time.perf_counter() - started

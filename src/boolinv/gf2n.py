@@ -29,6 +29,10 @@ from .maps import BoolMap, is_invertible_square
 #: Everything here enumerates 2**n field points; stay at desk scale.
 MAX_DEGREE = 16
 
+#: Cap on nonzero terms times field points, the cost of a value table (and
+#: of the oracle's evaluation); it admits a dense polynomial up to n = 12.
+MAX_TERM_POINTS = 1 << 24
+
 
 def _poly_deg(p: int) -> int:
     return p.bit_length() - 1
@@ -228,8 +232,18 @@ def _exp_log(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(exp), tuple(log)
 
 
+def check_term_points(p: UniPoly) -> None:
+    """Refuse ``p`` when its nonzero terms times field points exceed ``MAX_TERM_POINTS``."""
+    if len(p.terms) << p.spec.n > MAX_TERM_POINTS:
+        raise ValueError(
+            f"{len(p.terms)} nonzero terms over 2^{p.spec.n} field points exceed "
+            f"the limit of 2^{MAX_TERM_POINTS.bit_length() - 1} term evaluations"
+        )
+
+
 def _value_table(p: UniPoly) -> list[int]:
     """``p(x)`` for every field point x, indexed by the packed value of x."""
+    check_term_points(p)
     spec = p.spec
     q = spec.order - 1
     exp, log = _exp_log(spec)

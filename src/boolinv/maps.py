@@ -18,13 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, submasks
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet
 from .engine import EngineConfig, implicants
 
 #: Explicit complement-of-image points are materialized only when the output
 #: space has at most this many points.
 DEFAULT_MAX_POINTS = 1 << 20
+
+#: ``bytes.translate`` table that swaps the flags 0 and 1.
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class NonSquareMapError(ValueError):
@@ -197,13 +201,19 @@ def _image_complement(
     F: BoolMap, cfg: EngineConfig | None, max_points: int
 ) -> ComplementResult:
     n, m = F.n_in, F.m_out
-    hit = {t.pos >> n for t in graph_implicants(F, cfg).terms}
-    row = f"0{m}b"
-    image = tuple(sorted(hit, key=lambda w: format(w, row)[::-1]))
-    points: tuple[int, ...] | None = None
-    if (1 << m) <= max_points:
-        points = tuple(w for w in submasks((1 << m) - 1) if w not in hit)
-    return ComplementResult(size=(1 << m) - len(hit), image=image, points=points)
+    words = {t.pos >> n for t in graph_implicants(F, cfg).terms}
+    if (1 << m) > max_points:
+        row = f"0{m}b"
+        image = tuple(sorted(words, key=lambda w: format(w, row)[::-1]))
+        return ComplementResult(size=(1 << m) - len(image), image=image, points=None)
+    order = [0]  # every word in canonical order, built as the leaf builds its points
+    for j in reversed(range(m)):
+        bit = 1 << j
+        order += [w | bit for w in order]
+    hit = bytes(map(words.__contains__, order))
+    image = tuple(compress(order, hit))
+    points = tuple(compress(order, hit.translate(_NOT)))
+    return ComplementResult(size=len(points), image=image, points=points)
 
 
 def goe(

@@ -82,6 +82,18 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
+def _refuse_names(body: str, offset: int, lineno: int) -> None:
+    """Raise at the first invalid or repeated name of a ``vars:`` line."""
+    seen = set()
+    for m in re.finditer(r"\S+", body):
+        name, col = m.group(), offset + m.start() + 1
+        if not _IDENT.fullmatch(name):
+            raise ParseError(f"invalid variable name '{name}'", lineno, col)
+        if name in seen:
+            raise ParseError(f"duplicate variable '{name}'", lineno, col)
+        seen.add(name)
+
+
 def _products(body: str, offset: int, lineno: int, token: re.Pattern, what: str):
     """Operands of each product in a `+`-sum of `*`-products.
 
@@ -124,9 +136,31 @@ def _parse_anf(
     """Monomials of a sum-of-products expression, repeats included.
 
     ``bits`` maps each input name to its bit; the lone ``0`` has none.
+    The expression is split on its operators and each operand looked up
+    in ``bits``, whose keys are all identifiers, so the split succeeds
+    exactly on a well-formed expression over known names.  Any other
+    goes through ``_scan_anf``, which places the error.
     """
     if body.strip() == "0":
         return []
+    monomials = []
+    try:
+        for product in body.split("+"):
+            mono = 0
+            for name in product.split("*"):
+                name = name.strip()
+                if name != "1":
+                    mono |= bits[name]
+            monomials.append(mono)
+    except KeyError:  # a malformed operand or an unknown name
+        return _scan_anf(body, offset, lineno, bits, outputs)
+    return monomials
+
+
+def _scan_anf(
+    body: str, offset: int, lineno: int, bits: dict[str, int], outputs: dict[str, None]
+) -> list[int]:
+    """``_parse_anf`` through the token scanner, with every error's column."""
     monomials = []
     for operands, _ in _products(body, offset, lineno, _ANF_TOKEN, "expression"):
         mono = 0
@@ -219,7 +253,7 @@ def parse_text(text: str) -> Problem:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
-        if not line.strip():
+        if not line:
             continue
         stripped = line.lstrip()
         indent = len(line) - len(stripped)
@@ -234,15 +268,10 @@ def parse_text(text: str) -> Problem:
                     indent + 1,
                 )
             declared = True
-            for m in re.finditer(r"\S+", stripped[5:]):
-                name = m.group()
-                col = indent + 5 + m.start() + 1
-                if not _IDENT.fullmatch(name):
-                    raise ParseError(f"invalid variable name '{name}'", lineno, col)
-                if name in bits:
-                    raise ParseError(f"duplicate variable '{name}'", lineno, col)
-                bits[name] = 1 << len(inputs)
-                inputs.append(name)
+            inputs = stripped[5:].split()
+            if not all(map(_IDENT.fullmatch, inputs)) or len(set(inputs)) < len(inputs):
+                _refuse_names(stripped[5:], indent + 5, lineno)
+            bits = {name: 1 << i for i, name in enumerate(inputs)}
             uni = (1 << len(inputs)) - 1
             continue
 

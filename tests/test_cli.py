@@ -370,9 +370,25 @@ def test_goe_on_a_14_bit_map_prints_one_cube_per_image_point(capsys, tmp_path):
     assert not any("+" in e for e in doc["system"])
     image = brute_image(F)
     assert len(doc["system"]) == len(image)
+    cubes = set()
+    for e in doc["system"]:
+        lits = e.removesuffix(" = 0").split()
+        assert [lit.rstrip("'") for lit in lits] == list(names[14:]), e
+        cubes.add(sum(1 << j for j, lit in enumerate(lits) if not lit.endswith("'")))
+    assert cubes == image
     got = {sum(int(ch) << j for j, ch in enumerate(p)) for p in doc["points"]}
     assert got == set(range(1 << 14)) - image
     assert doc["size"] == len(got)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 9, 17])
+def test_word_rows_match_per_output_rendering(m):
+    rng = random.Random(m)
+    cells = [(f"a{j}", f"b{j}") for j in range(m)]
+    for count in (0, 1, 5, 300):
+        words = [rng.randrange(1 << m) for _ in range(count)]
+        expected = ["-".join(cells[j][w >> j & 1] for j in range(m)) for w in words]
+        assert boolinv.cli._word_rows(words, cells, "-") == expected
 
 
 def test_bound_beyond_cap_exits_2_at_once(capsys):
@@ -500,3 +516,19 @@ def test_trace_hooks_see_every_layer(capsys):
     assert metrics["engine.leaf_calls"] > 0
     assert metrics["engine.implicants_s"] > 0
     assert metrics["algebra.anf_mul_calls"] == 0
+
+
+@pytest.mark.parametrize("command", ["permpoly", "oracle"])
+def test_dense_polynomial_is_refused_up_front(capsys, tmp_path, command):
+    # 8192 nonzero terms over 2^13 points: 2^26 term evaluations, past the cap of 2^24
+    path = tmp_path / "dense13.txt"
+    terms = " + ".join(f"X^{e}" for e in range(8191, 0, -1))
+    path.write_text(f"field: n=13\npoly: {terms} + 1\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, path)
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: 8192 nonzero terms over 2^13 field points exceed "
+        "the limit of 2^24 term evaluations"
+    ]

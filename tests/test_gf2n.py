@@ -9,8 +9,10 @@ from boolinv.algebra import Assignment, mask_of
 from boolinv.gf2n import (
     FieldElem,
     FieldSpec,
+    MAX_TERM_POINTS,
     UniPoly,
     _is_irreducible,
+    check_term_points,
     coordinate_functions,
     is_permutation_polynomial,
     moebius,
@@ -199,3 +201,12 @@ def test_permutation_verdict_matches_image_counting():
         )
         image = {p.evaluate(spec.element(v)).value for v in range(spec.order)}
         assert is_permutation_polynomial(p) == (len(image) == spec.order)
+
+
+def test_term_points_cap_admits_dense_n12_and_refuses_one_term_more():
+    assert MAX_TERM_POINTS == 1 << 24
+    check_term_points(UniPoly.of(FieldSpec.default(12), [1] * 4096))  # dense, at the cap
+    spec = FieldSpec.default(13)
+    check_term_points(UniPoly.of(spec, [1] * 2048))
+    with pytest.raises(ValueError, match="2049 nonzero terms over 2\\^13 field points"):
+        is_permutation_polynomial(UniPoly.of(spec, [1] * 2049))

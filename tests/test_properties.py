@@ -5,12 +5,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boolinv import parsing
 from boolinv.algebra import Anf, BoolSystem, mask_of
-from boolinv.cli import _HANDLERS, main
+from boolinv.cli import _HANDLERS, _json, main
 from boolinv.engine import EngineConfig, _leaf_scan, implicants
 from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
 from boolinv.maps import BoolMap
@@ -21,6 +23,9 @@ from boolinv.parsing import (
     PolyProblem,
     SystemProblem,
     VarTable,
+    _ANF_TOKEN,
+    _products,
+    _scan_anf,
     format_problem,
     parse_text,
 )
@@ -219,3 +224,58 @@ def test_parse_error_positions_lie_inside_the_file(data):
         lines = text.splitlines() or [""]  # an empty file is reported at line 1
         assert 1 <= err.line <= len(lines), (text, str(err))
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1, (text, str(err))
+
+
+# tokens, each followed by mixed whitespace or nothing: declared names (x and y1
+# run together as the declared xy1), an output name, unknown names, names that run
+# into a `1`, operators and stray characters
+_ANF_TOKENS = st.one_of(
+    st.sampled_from(["x", "y1", "xy1", "_z", "w", "v", "1", "11", "x1y"]),
+    st.sampled_from(["+", "*"]),
+    st.sampled_from(["0", "2", "-", "é", "#"]),
+)
+_ANF_GAPS = st.sampled_from(["", "", " ", "\t", "\x0b", "\xa0", " \t"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(st.lists(st.tuples(_ANF_TOKENS, _ANF_GAPS).map("".join), max_size=10).map("".join))
+@example("x y1")  # two operands that run together as a declared name once spaces go
+@example("x\x0b*\xa0y1 +\t1 ")
+def test_anf_split_path_accepts_exactly_what_the_scanner_accepts(body):
+    bits, outputs = {"x": 1, "y1": 2, "xy1": 4, "_z": 8}, {"w": None}
+    try:
+        products = _products(body, 4, 1, _ANF_TOKEN, "expression")
+        splits = all(kind == "one" or tok in bits for ops, _ in products for kind, tok, _ in ops)
+    except ParseError:
+        splits = False
+
+    def outcome(parse):
+        try:
+            return parse(body, 4, 1, bits, outputs)
+        except ParseError as exc:
+            return str(exc)
+
+    with mock.patch.object(parsing, "_scan_anf", wraps=_scan_anf) as scan:
+        got = outcome(parsing._parse_anf)
+    if body.strip() == "0":
+        assert got == []
+    else:
+        # the split path never accepts what the scanner rejects, nor moves an error
+        assert scan.called != splits, body
+        assert got == outcome(_scan_anf), body
+
+
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€𝄞'), st.characters()), max_size=8
+)
+_JSON_DOCS = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, indent=2)
