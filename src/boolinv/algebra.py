@@ -236,15 +236,12 @@ class Anf:
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[int], universe: int | None = None) -> "Anf":
-        monomials = list(monomials)
-        acc = set(monomials)
-        if len(acc) < len(monomials):  # repeated monomials cancel in pairs
-            acc = set()
-            for m in monomials:
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
+        acc: set[int] = set()
+        for m in monomials:
+            if m in acc:
+                acc.remove(m)
+            else:
+                acc.add(m)
         if universe is None:
             universe = 0
             for m in acc:

@@ -293,6 +293,7 @@ def _run_unique(problem: Problem, args, cfg: EngineConfig):
 def _run_permpoly(problem: Problem, args, cfg: EngineConfig):
     if not isinstance(problem, PolyProblem):
         raise ValueError("permpoly expects a polynomial file")
+    check_term_points(problem.poly)
     ok = is_permutation_polynomial(problem.poly, cfg)
     body = {
         "field_degree": problem.spec.n,

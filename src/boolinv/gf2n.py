@@ -31,6 +31,8 @@ MAX_DEGREE = 16
 
 #: Cap on nonzero terms times field points, the cost of a value table (and
 #: of the oracle's evaluation); it admits a dense polynomial up to n = 12.
+#: The CLI's ``permpoly`` and ``oracle`` apply it through ``check_term_points``;
+#: the functions of this module do not.
 MAX_TERM_POINTS = 1 << 24
 
 
@@ -243,7 +245,6 @@ def check_term_points(p: UniPoly) -> None:
 
 def _value_table(p: UniPoly) -> list[int]:
     """``p(x)`` for every field point x, indexed by the packed value of x."""
-    check_term_points(p)
     spec = p.spec
     q = spec.order - 1
     exp, log = _exp_log(spec)

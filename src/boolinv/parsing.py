@@ -82,18 +82,6 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _refuse_names(body: str, offset: int, lineno: int) -> None:
-    """Raise at the first invalid or repeated name of a ``vars:`` line."""
-    seen = set()
-    for m in re.finditer(r"\S+", body):
-        name, col = m.group(), offset + m.start() + 1
-        if not _IDENT.fullmatch(name):
-            raise ParseError(f"invalid variable name '{name}'", lineno, col)
-        if name in seen:
-            raise ParseError(f"duplicate variable '{name}'", lineno, col)
-        seen.add(name)
-
-
 def _products(body: str, offset: int, lineno: int, token: re.Pattern, what: str):
     """Operands of each product in a `+`-sum of `*`-products.
 
@@ -268,10 +256,15 @@ def parse_text(text: str) -> Problem:
                     indent + 1,
                 )
             declared = True
-            inputs = stripped[5:].split()
-            if not all(map(_IDENT.fullmatch, inputs)) or len(set(inputs)) < len(inputs):
-                _refuse_names(stripped[5:], indent + 5, lineno)
-            bits = {name: 1 << i for i, name in enumerate(inputs)}
+            for m in re.finditer(r"\S+", stripped[5:]):
+                name = m.group()
+                col = indent + 5 + m.start() + 1
+                if not _IDENT.fullmatch(name):
+                    raise ParseError(f"invalid variable name '{name}'", lineno, col)
+                if name in bits:
+                    raise ParseError(f"duplicate variable '{name}'", lineno, col)
+                bits[name] = 1 << len(inputs)
+                inputs.append(name)
             uni = (1 << len(inputs)) - 1
             continue
 

@@ -103,8 +103,9 @@ def digests() -> dict[str, str]:
                         case = " ".join([command, label, "--format", fmt, *flags])
                         got[case] = _digest(argv, path, label)
         quad = inputs["quad.txt"]
-        # help and usage lines wrap at the terminal's width
-        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        # help and usage lines wrap at the terminal's width, and Python 3.13
+        # wraps a long usage line differently; at 120 columns none wraps
+        with mock.patch.dict(os.environ, {"COLUMNS": "120"}):
             for argv in USAGE:
                 case = " ".join(["usage:", *argv]).replace("FILE", "quad.txt")
                 argv = [str(quad) if a == "FILE" else a for a in argv]

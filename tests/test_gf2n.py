@@ -209,4 +209,4 @@ def test_term_points_cap_admits_dense_n12_and_refuses_one_term_more():
     spec = FieldSpec.default(13)
     check_term_points(UniPoly.of(spec, [1] * 2048))
     with pytest.raises(ValueError, match="2049 nonzero terms over 2\\^13 field points"):
-        is_permutation_polynomial(UniPoly.of(spec, [1] * 2049))
+        check_term_points(UniPoly.of(spec, [1] * 2049))
