@@ -53,6 +53,39 @@ def random_system(
     return BoolSystem(tuple(factors), uni)
 
 
+def xor_pair_system(rng: random.Random, n: int) -> BoolSystem:
+    """Random equations x_i + x_j = c and x_i = c: the shape that makes literals clash."""
+    uni = mask_of(range(n))
+    one = Anf.one(uni)
+    factors = []
+    for _ in range(rng.randint(2, n)):
+        i, j = rng.sample(range(n), 2)
+        f = Anf.variable(i, uni)
+        if rng.random() < 0.8:
+            f ^= Anf.variable(j, uni)
+        factors.append(f ^ one if rng.random() < 0.5 else f)
+    return BoolSystem(tuple(factors), uni)
+
+
+def chain_system(n: int, variant: str, shuffle_seed: int | None = None) -> BoolSystem:
+    """x_i + x_(i-1) = 1 for i = 1..n-1.
+
+    ``pinned`` adds x_0 = 1 (one solution), ``free`` adds nothing (two),
+    ``unsat`` pins both ends to values the chain forbids together.
+    """
+    uni = mask_of(range(n))
+    x = [Anf.variable(v, uni) for v in range(n)]
+    factors = [x[i] ^ x[i - 1] for i in range(1, n)]  # factor of x_i + x_(i-1) = 1
+    if variant in ("pinned", "unsat"):
+        factors.append(x[0])
+    if variant == "unsat":
+        # the chain makes x_(n-1) equal to 1 exactly when n is odd
+        factors.append(~x[n - 1] if n % 2 else x[n - 1])
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(factors)
+    return BoolSystem(tuple(factors), uni)
+
+
 def random_map_coords(
     rng: random.Random, n_in: int, m_out: int, max_degree: int = 3
 ) -> list[Anf]:

@@ -27,7 +27,13 @@ from boolinv.engine import (
 from boolinv.maps import BoolMap, Uniqueness, build_graph_system, unique_solution
 from boolinv.oracle import solution_count, validate_implicant_set
 
-from conftest import random_anf, random_map_coords, random_system
+from conftest import (
+    chain_system,
+    random_anf,
+    random_map_coords,
+    random_system,
+    xor_pair_system,
+)
 
 # variable ids: inputs first, then outputs
 X1, X2, X3, X4 = 0, 1, 2, 3
@@ -379,20 +385,6 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
     return ImplicantSet(tuple(terms), sys.universe)
 
 
-def _xor_pair_system(rng: random.Random, n: int) -> BoolSystem:
-    """Random equations x_i + x_j = c and x_i = c: the shape that makes literals clash."""
-    uni = mask_of(range(n))
-    one = Anf.one(uni)
-    factors = []
-    for _ in range(rng.randint(2, n)):
-        i, j = rng.sample(range(n), 2)
-        f = Anf.variable(i, uni)
-        if rng.random() < 0.8:
-            f ^= Anf.variable(j, uni)
-        factors.append(f ^ one if rng.random() < 0.5 else f)
-    return BoolSystem(tuple(factors), uni)
-
-
 def test_pruned_cross_matches_product_cross(monkeypatch):
     splits = []  # the engine's Shannon split plans, which share the cross loop
 
@@ -410,7 +402,7 @@ def test_pruned_cross_matches_product_cross(monkeypatch):
             support = rng.choice((2, 3, 4))
             systems.append(random_system(rng, n, rng.randint(2, n // 2 + 2), support))
         else:
-            systems.append(_xor_pair_system(rng, n))
+            systems.append(xor_pair_system(rng, n))
     for _ in range(60):
         n = rng.randint(3, 7)
         coords = random_map_coords(rng, n, rng.randint(n, n + 2))
@@ -424,25 +416,6 @@ def test_pruned_cross_matches_product_cross(monkeypatch):
             empty += not cover.terms
     assert sum(splits) > 0
     assert 0 < empty < len(systems) * 3  # satisfiable and unsatisfiable cases both occur
-
-
-def _chain(n: int, variant: str, shuffle_seed: int | None = None) -> BoolSystem:
-    """x_i + x_(i-1) = 1 for i = 1..n-1.
-
-    ``pinned`` adds x_0 = 1 (one solution), ``free`` adds nothing (two),
-    ``unsat`` pins both ends to values the chain forbids together.
-    """
-    uni = mask_of(range(n))
-    x = [Anf.variable(v, uni) for v in range(n)]
-    factors = [x[i] ^ x[i - 1] for i in range(1, n)]  # factor of x_i + x_(i-1) = 1
-    if variant in ("pinned", "unsat"):
-        factors.append(x[0])
-    if variant == "unsat":
-        # the chain makes x_(n-1) equal to 1 exactly when n is odd
-        factors.append(~x[n - 1] if n % 2 else x[n - 1])
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(factors)
-    return BoolSystem(tuple(factors), uni)
 
 
 def _ladder(n: int) -> BoolSystem:
@@ -465,12 +438,12 @@ def test_long_chains_and_ladders_decide_fast(n):
     rails = mask_of(range(0, half, 2)) | mask_of(range(half + 1, 2 * half, 2))
     ladder_point = Assignment(mask_of(range(2 * half)), rails)
     cases = [
-        (_chain(n, "pinned"), Uniqueness.UNIQUE, alternating),
-        (_chain(n, "pinned", shuffle_seed=n), Uniqueness.UNIQUE, alternating),
-        (_chain(n, "free"), Uniqueness.MULTIPLE, None),
-        (_chain(n, "free", shuffle_seed=n + 1), Uniqueness.MULTIPLE, None),
-        (_chain(n, "unsat"), Uniqueness.NONE, None),
-        (_chain(n, "unsat", shuffle_seed=n + 2), Uniqueness.NONE, None),
+        (chain_system(n, "pinned"), Uniqueness.UNIQUE, alternating),
+        (chain_system(n, "pinned", shuffle_seed=n), Uniqueness.UNIQUE, alternating),
+        (chain_system(n, "free"), Uniqueness.MULTIPLE, None),
+        (chain_system(n, "free", shuffle_seed=n + 1), Uniqueness.MULTIPLE, None),
+        (chain_system(n, "unsat"), Uniqueness.NONE, None),
+        (chain_system(n, "unsat", shuffle_seed=n + 2), Uniqueness.NONE, None),
         (_ladder(n), Uniqueness.UNIQUE, ladder_point),
     ]
     for sys, status, point in cases:
