@@ -51,20 +51,19 @@ def vars_of(mask: int) -> list[int]:
     return out
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """Every submask of ``mask`` in canonical order, in O(1) memory.
+def submasks(mask: int) -> list[int]:
+    """Every submask of ``mask`` in canonical order.
 
     The lowest variable is the most significant digit and 0 comes before
     1, so the points of a cube come out in the order of their minterms'
-    ``Term.sort_key``.  Each step adds one at the least significant digit
-    that is 0 (the highest free variable) and clears the digits below it.
+    ``Term.sort_key``.  The list is built by doubling: for each variable,
+    highest first, it is followed by a copy with that variable set.
     """
-    p = 0
-    yield p
-    while p != mask:
-        h = 1 << ((mask & ~p).bit_length() - 1)
-        p = (p & (h - 1)) | h
-        yield p
+    out = [0]
+    for v in reversed(vars_of(mask)):
+        bit = 1 << v
+        out += [p | bit for p in out]
+    return out
 
 
 class _ContradictionType:
@@ -187,7 +186,10 @@ class Term:
         return Assignment(universe, self.pos)
 
     def expand(self, universe: int) -> Iterator["Term"]:
-        """All minterms of the universe contained in this cube, in canonical order."""
+        """All minterms of the universe contained in this cube, in canonical order.
+
+        The cube's 2**free points are listed first, by ``submasks``.
+        """
         free = universe & ~self.vars_mask
         for s in submasks(free):
             yield Term(self.pos | s, self.neg | (free ^ s))

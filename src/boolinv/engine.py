@@ -1,15 +1,17 @@
 """Computation of complete orthogonal implicant covers.
 
-The solver picks variable-disjoint small-support factors and solves each
-by minterm enumeration.  It crosses their covers one factor at a time,
-in breadth-first order over shared variables, and cofactors the other
-(residual) factors as it goes, so a partial branch is dropped as soon
-as a residual factor becomes 0 or two of them force one variable both
-ways, the unit propagation of DPLL.  It then goes on with the residual
-system under every live cross term.  When no factor is small enough it
-falls back to a Boole-Shannon split, crossing the split variable's two
-literals the same way.  The decomposition runs on an explicit stack, so
-its depth is not bounded by the interpreter's.
+The decomposition is one loop over an explicit stack of branches, each
+a seed cube held as its two masks with the system cofactored by it, so
+its depth is not bounded by the interpreter's.  A step either scans the
+system as one leaf, or picks variable-disjoint small-support factors,
+solves each by minterm enumeration and crosses their covers one factor
+at a time from the seed, in breadth-first order over shared variables.
+It cofactors the other (residual) factors as it goes, so a partial
+branch is dropped as soon as a residual factor becomes 0 or two of them
+force one variable both ways, the unit propagation of DPLL.  Every live
+cross term goes back on the stack with its residual system.  When no
+factor is small enough the step makes a Boole-Shannon split, crossing
+the split variable's two literals the same way.
 
 The leaf is bit-sliced: each factor over a scan of k variables becomes
 a 2**k-bit truth table held in one integer, built from cached per-variable
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .algebra import Anf, BoolSystem, ImplicantSet, Term, vars_of
+from .algebra import Anf, BoolSystem, ImplicantSet, Term, submasks, vars_of
 
 #: Largest number of variables one leaf scan enumerates.
 DEFAULT_BOUND = 12
@@ -159,10 +161,8 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
         raise BoundExceededError(k, limit)
     vs = vars_of(scanned)
     index_bit = {v: k - 1 - j for j, v in enumerate(vs)}
-    points = [0]  # trues of the scanned variables at each point index
-    for v in reversed(vs):
-        bit = 1 << v
-        points += [t | bit for t in points]
+    points = submasks(scanned)  # trues of the scanned variables at each point index
+    essential = support
     if solved is not None:
         for h, p in zip(factors, solved):
             bit = 1 << p
@@ -170,30 +170,29 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
             column = format(rest, f"0{1 << k}b")[::-1]  # character i: rest at point i
             # p = rest + 1
             points = [t | bit if c == "0" else t for t, c in zip(points, column)]
-        out = [Term(t, support ^ t) for t in points]
-        if vs and min(solved) < vs[-1]:
-            out.sort(key=Term.sort_key)  # a solved variable precedes a scanned one
-        return ImplicantSet(tuple(out), support)
-    table = (1 << (1 << k)) - 1
-    for h in factors:
-        table &= _factor_table(h.monomials, index_bit, k)
-        if not table:
-            return ImplicantSet((), 0)
-    essential = support
-    for v in vs:
-        b = index_bit[v]
-        p = _index_pattern(b, k)
-        low = table & ~p
-        if low == (table & p) >> (1 << b):
-            table = low  # keep the points with v = 0; v stays free
-            essential ^= 1 << v
-    bits = format(table, "b")[::-1]  # character i is the value at point i
-    out = []
-    i = bits.find("1")
-    while i >= 0:
-        trues = points[i]
-        out.append(Term(trues, essential & ~trues))
-        i = bits.find("1", i + 1)
+    else:
+        table = (1 << (1 << k)) - 1
+        for h in factors:
+            table &= _factor_table(h.monomials, index_bit, k)
+            if not table:
+                return ImplicantSet((), 0)
+        for v in vs:
+            b = index_bit[v]
+            p = _index_pattern(b, k)
+            low = table & ~p
+            if low == (table & p) >> (1 << b):
+                table = low  # keep the points with v = 0; v stays free
+                essential ^= 1 << v
+        bits = format(table, "b")[::-1]  # character i is the value at point i
+        kept = []
+        i = bits.find("1")
+        while i >= 0:
+            kept.append(points[i])
+            i = bits.find("1", i + 1)
+        points = kept
+    out = [Term(t, essential ^ t) for t in points]
+    if solved and vs and min(solved) < vs[-1]:
+        out.sort(key=Term.sort_key)  # a solved variable precedes a scanned one
     return ImplicantSet(tuple(out), essential)
 
 
@@ -297,60 +296,6 @@ def _cofactor_near(
     return out
 
 
-def _branches(sys: BoolSystem, cfg: EngineConfig) -> list[tuple[Term, BoolSystem]]:
-    """Orthogonal seed terms with the live residual system under each.
-
-    The covers are crossed one at a time, each partial branch carrying
-    its seed and the cofactors of the residual factors that are not
-    constant 1.  After each cover only the residual factors sharing a
-    variable with it are cofactored, and a branch is dropped as soon as
-    one of them is 0 or two single-literal cofactors clash.  A dropped
-    branch has an unsatisfiable residual, so the cover is the one the
-    full product of the crossed covers gives.  The covers are those of
-    the packed factors, or for a Shannon split the two literals of the
-    split variable, with every factor residual.
-    """
-    plan = select_disjoint_clusters(sys, cfg)
-    factors = sys.factors
-    split = plan.split_var
-    residual = plan.residual if split is None else range(len(factors))
-    occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
-    if residual:
-        factor_vars = [vars_of(h.support) for h in factors]
-        for i, vs in enumerate(factor_vars):
-            for v in vs:
-                occurs.setdefault(v, []).append(i)
-    if split is None:
-        order = plan.disjoint_factors
-        near: dict[int, list[int]] = {}  # packed factor -> residual factors sharing a variable
-        if residual:
-            is_residual = set(residual)
-            for i in order:
-                near[i] = list({k for v in factor_vars[i] for k in occurs[v] if k in is_residual})
-            if len(order) > 1:
-                order = _crossing_order(order, factor_vars, occurs)
-        covers = (
-            (impl_for_simple(factors[i], cfg.base_bound_m).terms, near.get(i, ())) for i in order
-        )
-    else:
-        bit = 1 << split
-        covers = (((Term(0, bit), Term(bit, 0)), occurs[split]),)
-    partial = [(0, 0, {i: factors[i] for i in residual})]
-    for terms, near_i in covers:
-        grown = []
-        for pos, neg, res in partial:
-            for t in terms:
-                sub = _cofactor_near(res, near_i, t, occurs)
-                if sub is not None:
-                    # crossed covers have disjoint supports, so their terms never clash
-                    grown.append((pos | t.pos, neg | t.neg, sub))
-        partial = grown
-    return [
-        (Term(pos, neg), BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
-        for pos, neg, res in partial
-    ]
-
-
 def _live(sys: BoolSystem) -> BoolSystem | None:
     """The system without its constant-1 factors; None when a factor is 0."""
     factors = tuple(h for h in sys.factors if not h.is_one)
@@ -360,32 +305,76 @@ def _live(sys: BoolSystem) -> BoolSystem | None:
     return BoolSystem(factors, sys.universe)
 
 
-def _solve(branches: Iterable[tuple[Term, BoolSystem]], cfg: EngineConfig) -> list[Term]:
+def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -> list[Term]:
     """Each seed ANDed with each cover term of the system under it.
 
-    That system is cofactored by its seed and no longer mentions the
-    seed's variables, so no product is a contradiction.  The entry
-    branches are made live here; those ``_branches`` returns already
-    are.  An explicit stack replaces recursion, so the depth of the
-    decomposition is not limited by the interpreter's.  Terms come in
-    canonical order: one leaf scan makes its terms so, and the terms of
-    more than one leaf are sorted once at the end.
+    A branch is a seed cube, as its ``pos`` and ``neg`` masks, and the
+    system cofactored by it, which no longer mentions the seed's
+    variables, so no product is a contradiction.  The entry branches are
+    made live here.  A step either scans its branch as one leaf, or
+    crosses the covers of its plan starting from its own seed: those of
+    the packed factors, or for a Shannon split the two literals of the
+    split variable, with every factor residual.  After each cover only
+    the residual factors sharing a variable with it are cofactored, and
+    a branch is dropped as soon as one of them is 0 or two single-literal
+    cofactors clash.  A dropped branch has an unsatisfiable residual, so
+    the cover is the one the full product of the crossed covers gives.
+    The live branches go straight on the stack.  Terms come in canonical
+    order: one leaf scan makes its terms so, and the terms of more than
+    one leaf are sorted once at the end.
     """
+    bound = cfg.base_bound_m
     out: list[Term] = []
     leaves = 0
-    stack = [(seed, live) for seed, sys in branches if (live := _live(sys)) is not None]
+    stack = [(pos, neg, live) for pos, neg, sys in branches if (live := _live(sys)) is not None]
     while stack:
-        seed, sys = stack.pop()
-        if _leaf_scan(sys.factors)[0].bit_count() <= cfg.base_bound_m:
+        pos, neg, sys = stack.pop()
+        factors = sys.factors
+        if _leaf_scan(factors)[0].bit_count() <= bound:
             leaves += 1
-            terms = impl_for_simple(sys, cfg.base_bound_m).terms
-            if seed.pos | seed.neg:
-                out.extend(Term(seed.pos | s.pos, seed.neg | s.neg) for s in terms)
+            terms = impl_for_simple(sys, bound).terms
+            if pos | neg:
+                out.extend(Term(pos | s.pos, neg | s.neg) for s in terms)
             else:  # the empty seed: the leaf's terms are already the products
                 out.extend(terms)
+            continue
+        plan = select_disjoint_clusters(sys, cfg)
+        split = plan.split_var
+        residual = plan.residual if split is None else range(len(factors))
+        occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
+        if residual:
+            factor_vars = [vars_of(h.support) for h in factors]
+            for i, vs in enumerate(factor_vars):
+                for v in vs:
+                    occurs.setdefault(v, []).append(i)
+        if split is None:
+            order = plan.disjoint_factors
+            near: dict[int, list[int]] = {}  # packed factor -> residual factors sharing a variable
+            if residual:
+                is_residual = set(residual)
+                for i in order:
+                    near[i] = list(
+                        {k for v in factor_vars[i] for k in occurs[v] if k in is_residual}
+                    )
+                if len(order) > 1:
+                    order = _crossing_order(order, factor_vars, occurs)
+            covers = ((impl_for_simple(factors[i], bound).terms, near.get(i, ())) for i in order)
         else:
-            for t, sub in _branches(sys, cfg):
-                stack.append((Term(seed.pos | t.pos, seed.neg | t.neg), sub))
+            bit = 1 << split
+            covers = (((Term(0, bit), Term(bit, 0)), occurs[split]),)
+        partial = [(pos, neg, {i: factors[i] for i in residual})]
+        for terms, near_i in covers:
+            # crossed covers have disjoint supports, so their terms never clash
+            partial = [
+                (pos | t.pos, neg | t.neg, sub)
+                for pos, neg, res in partial
+                for t in terms
+                if (sub := _cofactor_near(res, near_i, t, occurs)) is not None
+            ]
+        stack += [
+            (pos, neg, BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
+            for pos, neg, res in partial
+        ]
     if leaves > 1:
         out.sort(key=Term.sort_key)
     return out
@@ -398,7 +387,7 @@ def implicants(sys: BoolSystem, cfg: EngineConfig | None = None) -> ImplicantSet
     canonical order, so equal inputs give byte-equal outputs.
     """
     cfg = cfg or EngineConfig()
-    return ImplicantSet(tuple(_solve([(Term(), sys)], cfg)), sys.universe)
+    return ImplicantSet(tuple(_solve([(0, 0, sys)], cfg)), sys.universe)
 
 
 def compose_product(
@@ -412,5 +401,5 @@ def compose_product(
     """
     cfg = cfg or EngineConfig()
     universe = seed.universe | sys_g.universe
-    out = _solve([(t, sys_g.ratio(t)) for t in seed.terms], cfg)
+    out = _solve([(t.pos, t.neg, sys_g.ratio(t)) for t in seed.terms], cfg)
     return ImplicantSet(tuple(out), universe)

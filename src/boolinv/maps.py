@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, submasks
 from .engine import EngineConfig, implicants
 
 #: Explicit complement-of-image points are materialized only when the output
@@ -206,10 +206,7 @@ def _image_complement(
         row = f"0{m}b"
         image = tuple(sorted(words, key=lambda w: format(w, row)[::-1]))
         return ComplementResult(size=(1 << m) - len(image), image=image, points=None)
-    order = [0]  # every word in canonical order, built as the leaf builds its points
-    for j in reversed(range(m)):
-        bit = 1 << j
-        order += [w | bit for w in order]
+    order = submasks((1 << m) - 1)  # every word in canonical order
     hit = bytes(map(words.__contains__, order))
     image = tuple(compress(order, hit))
     points = tuple(compress(order, hit.translate(_NOT)))
