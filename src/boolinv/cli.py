@@ -36,7 +36,7 @@ from .maps import (
 )
 from .collision import is_one_to_one_diagonal
 from .oracle import brute_image_count, brute_injective, brute_solutions
-from .gf2n import check_term_points, is_permutation_polynomial
+from .gf2n import MAX_ORACLE_TERM_POINTS, check_term_points, is_permutation_polynomial
 from .parsing import (
     MapProblem,
     PolyProblem,
@@ -122,6 +122,20 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder, in C
 
 
+def _digits(n: int) -> str:
+    """``str(n)``, also past the interpreter's limit on int-to-string digits.
+
+    ``decimal`` converts without that limit; it is imported only for such
+    a count, so it costs nothing at startup.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 def _json(value, indent: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, for str keys.
 
@@ -150,7 +164,7 @@ def _json(value, indent: str = "\n") -> str:
     if value is True or value is False:
         return "true" if value else "false"
     if type(value) is int:
-        return repr(value)
+        return _digits(value)
     return json.dumps(value)  # any other scalar
 
 
@@ -197,10 +211,8 @@ def _run_implicants(problem: Problem, args, cfg: EngineConfig):
         "satisfying_total": cover.satisfying_total(),
         "terms": terms,
     }
-    lines = chain(
-        [f"implicants: {len(cover)}", f"assignments covered: {body['satisfying_total']}"],
-        map("  ".__add__, terms),
-    )
+    total = "assignments covered: " + _digits(body["satisfying_total"])
+    lines = chain([f"implicants: {len(cover)}", total], map("  ".__add__, terms))
     return body, lines
 
 
@@ -266,7 +278,7 @@ def _run_complement(problem: Problem, args, cfg: EngineConfig):
         "system": _word_rows(res.image, literals, " "),
     }
     lines = chain(
-        [f"missing outputs: {res.size}"],
+        ["missing outputs: " + _digits(res.size)],
         [f"  (not enumerated: output space exceeds --max-enum {args.max_enum})"]
         if points is None
         else map("  ".__add__, points),
@@ -338,7 +350,7 @@ def _run_oracle(problem: Problem, args, cfg: EngineConfig):
     p, spec = problem.poly, problem.spec
     if spec.n > cap:
         raise ValueError(f"2^{spec.n} points exceed --max-enum {args.max_enum}")
-    check_term_points(p)
+    check_term_points(p, MAX_ORACLE_TERM_POINTS)
     image = {p.evaluate(spec.element(v)).value for v in range(spec.order)}
     ok = len(image) == spec.order
     body = {"permutation": ok, "image_size": len(image)}

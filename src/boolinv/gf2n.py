@@ -29,11 +29,14 @@ from .maps import BoolMap, is_invertible_square
 #: Everything here enumerates 2**n field points; stay at desk scale.
 MAX_DEGREE = 16
 
-#: Cap on nonzero terms times field points, the cost of a value table (and
-#: of the oracle's evaluation); it admits a dense polynomial up to n = 12.
-#: The CLI's ``permpoly`` and ``oracle`` apply it through ``check_term_points``;
-#: the functions of this module do not.
+#: Cap on nonzero terms times field points, the cost of a value table; it
+#: admits a dense polynomial up to n = 12.  The CLI's ``permpoly`` applies
+#: it through ``check_term_points``; the functions of this module do not.
 MAX_TERM_POINTS = 1 << 24
+
+#: The same cap for the CLI's ``oracle``, whose Horner sweep costs a few
+#: microseconds per term and point; it admits a dense polynomial up to n = 10.
+MAX_ORACLE_TERM_POINTS = 1 << 20
 
 
 def _poly_deg(p: int) -> int:
@@ -234,12 +237,12 @@ def _exp_log(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(exp), tuple(log)
 
 
-def check_term_points(p: UniPoly) -> None:
-    """Refuse ``p`` when its nonzero terms times field points exceed ``MAX_TERM_POINTS``."""
-    if len(p.terms) << p.spec.n > MAX_TERM_POINTS:
+def check_term_points(p: UniPoly, limit: int = MAX_TERM_POINTS) -> None:
+    """Refuse ``p`` when its nonzero terms times field points exceed ``limit``."""
+    if len(p.terms) << p.spec.n > limit:
         raise ValueError(
             f"{len(p.terms)} nonzero terms over 2^{p.spec.n} field points exceed "
-            f"the limit of 2^{MAX_TERM_POINTS.bit_length() - 1} term evaluations"
+            f"the limit of 2^{limit.bit_length() - 1} term evaluations"
         )
 
 

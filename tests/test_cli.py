@@ -520,7 +520,9 @@ def test_trace_hooks_see_every_layer(capsys):
 
 @pytest.mark.parametrize("command", ["permpoly", "oracle"])
 def test_dense_polynomial_is_refused_up_front(capsys, tmp_path, command):
-    # 8192 nonzero terms over 2^13 points: 2^26 term evaluations, past the cap of 2^24
+    # 8192 nonzero terms over 2^13 points: 2^26 term evaluations, past the caps of
+    # 2^24 (permpoly) and 2^20 (oracle)
+    limit = {"permpoly": 24, "oracle": 20}[command]
     path = tmp_path / "dense13.txt"
     terms = " + ".join(f"X^{e}" for e in range(8191, 0, -1))
     path.write_text(f"field: n=13\npoly: {terms} + 1\n")
@@ -530,5 +532,58 @@ def test_dense_polynomial_is_refused_up_front(capsys, tmp_path, command):
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         "error: 8192 nonzero terms over 2^13 field points exceed "
-        "the limit of 2^24 term evaluations"
+        f"the limit of 2^{limit} term evaluations"
     ]
+
+
+def test_oracle_refuses_a_dense_n11_polynomial_that_permpoly_answers(capsys, tmp_path):
+    # 2048 nonzero terms over 2^11 points: 2^22 term evaluations, past the oracle's
+    # cap of 2^20; its Horner sweep would take tens of seconds
+    path = tmp_path / "dense11.txt"
+    terms = " + ".join(f"X^{e}" for e in range(2047, 0, -1))
+    path.write_text(f"field: n=11\npoly: {terms} + 1\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "oracle", path)
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: 2048 nonzero terms over 2^11 field points exceed "
+        "the limit of 2^20 term evaluations"
+    ]
+    code, out, err = run(capsys, "permpoly", path)
+    assert code in (0, 1)
+    assert out in ("permutation: yes\n", "permutation: no\n")
+    assert "error" not in err
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of ``n`` >= 0, 100 at a time, past the int-string limit."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**100)
+        chunks.append(f"{r:0100d}")
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_counts_past_the_int_string_limit_print_exact_digits(capsys, tmp_path, fmt):
+    n = 15000
+    system = tmp_path / "wide_system.txt"
+    system.write_text("vars: " + " ".join(f"v{i}" for i in range(n)) + "\n0 = v0 + 1\n")
+    wide_map = tmp_path / "wide_map.txt"
+    wide_map.write_text("vars: x0\n" + "".join(f"y{i} = x0\n" for i in range(n)))
+    total = _decimal(2 ** (n - 1))  # v0 = 1 and every other variable free
+    missing = _decimal(2**n - 2)  # the image is the all-0 and the all-1 word
+    assert len(total) > 4300 and len(missing) > 4300
+    code, out, err = run(capsys, "implicants", system, "--format", fmt)
+    assert code == 0 and "error" not in err
+    if fmt == "json":
+        assert f'\n  "satisfying_total": {total},\n' in out
+    else:
+        assert out.startswith(f"implicants: 1\nassignments covered: {total}\n")
+    code, out, err = run(capsys, "coi", wide_map, "--format", fmt)
+    assert code == 0 and "error" not in err
+    if fmt == "json":
+        assert f'\n  "size": {missing},\n' in out
+    else:
+        assert out.startswith(f"missing outputs: {missing}\n")

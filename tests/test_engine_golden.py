@@ -27,6 +27,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
 
+import boolinv.engine
 from boolinv.algebra import BoolSystem, ImplicantSet
 from boolinv.collision import build_collision_system
 from boolinv.engine import EngineConfig, compose_product, implicants
@@ -104,8 +105,6 @@ def test_engine_covers_match_golden():
 
 
 def test_corpus_makes_split_plans_and_multi_leaf_covers(monkeypatch):
-    import boolinv.engine
-
     plan, leaf = boolinv.engine.select_disjoint_clusters, boolinv.engine.impl_for_simple
     splits, system_leaves = [], []
 

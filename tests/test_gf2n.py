@@ -9,6 +9,7 @@ from boolinv.algebra import Assignment, mask_of
 from boolinv.gf2n import (
     FieldElem,
     FieldSpec,
+    MAX_ORACLE_TERM_POINTS,
     MAX_TERM_POINTS,
     UniPoly,
     _is_irreducible,
@@ -210,3 +211,12 @@ def test_term_points_cap_admits_dense_n12_and_refuses_one_term_more():
     check_term_points(UniPoly.of(spec, [1] * 2048))
     with pytest.raises(ValueError, match="2049 nonzero terms over 2\\^13 field points"):
         check_term_points(UniPoly.of(spec, [1] * 2049))
+
+
+def test_oracle_cap_admits_dense_n10_and_refuses_one_term_more():
+    assert MAX_ORACLE_TERM_POINTS == 1 << 20
+    check_term_points(UniPoly.of(FieldSpec.default(10), [1] * 1024), MAX_ORACLE_TERM_POINTS)
+    spec = FieldSpec.default(11)
+    check_term_points(UniPoly.of(spec, [1] * 512), MAX_ORACLE_TERM_POINTS)
+    with pytest.raises(ValueError, match="limit of 2\\^20 term evaluations"):
+        check_term_points(UniPoly.of(spec, [1] * 513), MAX_ORACLE_TERM_POINTS)
