@@ -14,16 +14,19 @@ factor is small enough the step makes a Boole-Shannon split, crossing
 the split variable's two literals the same way.
 
 The leaf is bit-sliced: each factor over a scan of k variables becomes
-a 2**k-bit truth table held in one integer, built from cached per-variable
-bit patterns.  Usually the scan is the whole support: the factor tables
-are ANDed and the satisfying minterms are read off the set bits.  When
-every factor has a variable of its own that occurs in it only as a lone
-monomial, as each y_j does in the graph factor f_j(X) + y_j + 1, the
-factor fixes that variable as a function of the others.  The scan then
-runs over the other variables only, every point is a solution, and each
-solved variable is read off its own factor's table.  So the graph system
-of a map with n inputs is one scan of 2**n points, whatever its number
-of outputs, and the bound counts scanned variables, not the support.
+a 2**k-bit truth table held in one integer.  Each monomial sets its bit
+of a coefficient table, and the k shift-and-XOR steps of the Moebius
+transform turn that into the truth table; ``gf2n`` runs the same
+transform the other way.  Usually the scan is the whole support: the
+factor tables are ANDed and the satisfying minterms are read off the
+set bits.  When every factor has a variable of its own that occurs in
+it only as a lone monomial, as each y_j does in the graph factor
+f_j(X) + y_j + 1, the factor fixes that variable as a function of the
+others.  The scan then runs over the other variables only, every point
+is a solution, and each solved variable is read off its own factor's
+table.  So the graph system of a map with n inputs is one scan of 2**n
+points, whatever its number of outputs, and the bound counts scanned
+variables, not the support.
 The decomposition collects its terms unordered and the top level sorts
 them once, so output order is canonical.
 """
@@ -84,27 +87,70 @@ class ClusterPlan:
 
 
 @lru_cache(maxsize=None)
-def _index_pattern(b: int, k: int) -> int:
-    """Table over 2**k points that is 1 where bit ``b`` of the point index is 1."""
-    half = 1 << b
-    pattern = ((1 << half) - 1) << half  # one period: half zeros, then half ones
-    width = half << 1
-    while width < 1 << k:
-        pattern |= pattern << width
-        width <<= 1
-    return pattern
+def _index_patterns(k: int) -> tuple[int, ...]:
+    """For each bit b of the point index, the table over 2**k points that is 1 where it is 1."""
+    patterns = []
+    for b in range(k):
+        half = 1 << b
+        pattern = ((1 << half) - 1) << half  # one period: half zeros, then half ones
+        width = half << 1
+        while width < 1 << k:
+            pattern |= pattern << width
+            width <<= 1
+        patterns.append(pattern)
+    return tuple(patterns)
 
 
-def _factor_table(monomials: Iterable[int], index_bit: dict[int, int], k: int) -> int:
-    """Truth table over 2**k points of the XOR of ``monomials``."""
-    full = (1 << (1 << k)) - 1
-    acc = 0
-    for m in monomials:
-        t = full
-        for v in vars_of(m):
-            t &= _index_pattern(index_bit[v], k)
-        acc ^= t
-    return acc
+def moebius(bits: int, n: int) -> int:
+    """Binary Moebius transform of a table over 2**n points; it is its own inverse.
+
+    Bit i of ``bits`` is the value at point i.  Read as a truth table it
+    gives the ANF coefficient table: bit i of the result is the
+    coefficient of the monomial whose variables are the set bits of i.
+    Read as a coefficient table it gives the truth table.  Each step XORs
+    the half with index bit b clear into the half with it set, all points
+    at once.
+    """
+    shift = 1
+    for pattern in _index_patterns(n):
+        bits ^= (bits << shift) & pattern
+        shift <<= 1
+    return bits
+
+
+def _factor_table(
+    monomials: Iterable[int], points: list[int], lo: int | None, index_bit: dict[int, int] | None
+) -> int:
+    """Truth table over the points of a leaf scan of the XOR of ``monomials``.
+
+    ``points[i]`` holds the scanned variables true at point i, as
+    ``submasks`` lists them, and every monomial is one of them.  The
+    coefficient table has bit i set when ``points[i]`` is a monomial, and
+    its Moebius transform is the truth table.  When the scan is the run of
+    variables from ``lo`` up, the point order reverses the run's bits, and
+    reversal undoes itself, so monomial m sits at ``points[m >> lo] >> lo``.
+    Any other scan (``lo`` None) has ``index_bit``, the bit of the point
+    index of each scanned variable's bit, and m sits at the OR of those of
+    its variables.
+    """
+    table = 0
+    if lo is not None:
+        for m in monomials:
+            table |= 1 << (points[m >> lo] >> lo)
+    else:
+        for m in monomials:
+            i = 0
+            while m:
+                low = m & -m
+                i |= index_bit[low]
+                m ^= low
+            table |= 1 << i
+    return moebius(table, len(points).bit_length() - 1)
+
+
+#: The factors of the latest ``_leaf_scan`` call and its answer, held as
+#: one pair so that it is read and replaced in one step.
+_latest_scan: list = [(None, None)]
 
 
 def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
@@ -117,7 +163,14 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
     highest-indexed private-linear variable is the factor's solved one.
     When every factor has one, the scan skips the solved variables;
     otherwise it runs over the whole support and the list is None.
+
+    The latest answer is kept, and returned again for the same tuple
+    object, so callers do not change it: ``_solve`` scans a branch to test
+    it against the bound, and its leaf then asks again.
     """
+    latest, answer = _latest_scan[0]
+    if latest is factors:
+        return answer
     seen = shared = 0
     for h in factors:
         shared |= seen & h.support
@@ -131,11 +184,14 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
                 if m & (m - 1):  # a product of two or more variables
                     private &= ~m
         if not private:
-            return seen, None
+            scanned, solved = seen, None
+            break
         p = private.bit_length() - 1
         solved.append(p)
         scanned ^= 1 << p
-    return scanned, solved
+    answer = scanned, solved
+    _latest_scan[0] = factors, answer
+    return answer
 
 
 def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
@@ -160,37 +216,40 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     if k > limit:
         raise BoundExceededError(k, limit)
     vs = vars_of(scanned)
-    index_bit = {v: k - 1 - j for j, v in enumerate(vs)}
+    lo, index_bit = scanned.bit_length() - k, None
+    if scanned >> lo != (1 << k) - 1:  # the scanned variables are not one run
+        lo, index_bit = None, {1 << v: 1 << (k - 1 - j) for j, v in enumerate(vs)}
     points = submasks(scanned)  # trues of the scanned variables at each point index
     essential = support
     if solved is not None:
+        trues = points
         for h, p in zip(factors, solved):
             bit = 1 << p
-            rest = _factor_table(h.monomials - {bit}, index_bit, k)
+            rest = _factor_table(h.monomials - {bit}, points, lo, index_bit)
             column = format(rest, f"0{1 << k}b")[::-1]  # character i: rest at point i
             # p = rest + 1
-            points = [t | bit if c == "0" else t for t, c in zip(points, column)]
+            trues = [t | bit if c == "0" else t for t, c in zip(trues, column)]
     else:
         table = (1 << (1 << k)) - 1
         for h in factors:
-            table &= _factor_table(h.monomials, index_bit, k)
+            table &= _factor_table(h.monomials, points, lo, index_bit)
             if not table:
                 return ImplicantSet((), 0)
-        for v in vs:
-            b = index_bit[v]
-            p = _index_pattern(b, k)
+        patterns = _index_patterns(k)
+        for j, v in enumerate(vs):
+            b = k - 1 - j  # the point-index bit of v
+            p = patterns[b]
             low = table & ~p
             if low == (table & p) >> (1 << b):
                 table = low  # keep the points with v = 0; v stays free
                 essential ^= 1 << v
         bits = format(table, "b")[::-1]  # character i is the value at point i
-        kept = []
+        trues = []
         i = bits.find("1")
         while i >= 0:
-            kept.append(points[i])
+            trues.append(points[i])
             i = bits.find("1", i + 1)
-        points = kept
-    out = [Term(t, essential ^ t) for t in points]
+    out = [Term(t, essential ^ t) for t in trues]
     if solved and vs and min(solved) < vs[-1]:
         out.sort(key=Term.sort_key)  # a solved variable precedes a scanned one
     return ImplicantSet(tuple(out), essential)
@@ -302,6 +361,8 @@ def _live(sys: BoolSystem) -> BoolSystem | None:
     for h in factors:
         if h.is_zero:
             return None
+    if len(factors) == len(sys.factors):
+        return sys
     return BoolSystem(factors, sys.universe)
 
 

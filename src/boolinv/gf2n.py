@@ -10,20 +10,22 @@ The expansion works on plain ints.  It builds exp/log tables of the
 multiplicative group from a primitive element, so each nonzero term
 c*X^e is worth ``exp[(log c + e*log x) mod (2^n - 1)]`` at every x != 0
 and the whole value table costs O(2^n) per term, whatever the degree.
-Each output bit's truth table is then turned into ANF by ``moebius``, a
-bit-sliced binary Moebius transform inside one big int.  The oracle's
-list-based ``TruthTable.to_anf`` is the independent reference for it,
-and ``UniPoly.evaluate`` (Horner over ``FieldElem``) for the values;
-this module does not import the oracle.
+The values are written out as binary digits once, each output bit's
+truth table is a slice of them, and ``moebius``, the engine's
+bit-sliced binary Moebius transform inside one big int, turns it into
+ANF.  The oracle's list-based ``TruthTable.to_anf`` is the independent
+reference for it, and ``UniPoly.evaluate`` (Horner over ``FieldElem``)
+for the values; this module does not import the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .algebra import Anf, mask_of
-from .engine import EngineConfig, _index_pattern
+from .engine import EngineConfig, moebius
 from .maps import BoolMap, is_invertible_square
 
 #: Everything here enumerates 2**n field points; stay at desk scale.
@@ -37,6 +39,10 @@ MAX_TERM_POINTS = 1 << 24
 #: The same cap for the CLI's ``oracle``, whose Horner sweep costs a few
 #: microseconds per term and point; it admits a dense polynomial up to n = 10.
 MAX_ORACLE_TERM_POINTS = 1 << 20
+
+#: The digits "0" and "1" to the characters that encode to the bytes 0
+#: and 1, false and true as selectors for ``compress``.
+_SELECT = str.maketrans("01", "\x00\x01")
 
 
 def _poly_deg(p: int) -> int:
@@ -61,11 +67,15 @@ def _poly_mod(a: int, m: int) -> int:
 
 
 def _is_irreducible(m: int, n: int) -> bool:
-    """Trial division by every polynomial of degree 1..n//2."""
+    """Trial division by every odd polynomial of degree 1..n//2.
+
+    ``m`` has constant term 1, so x does not divide it, and neither does
+    any multiple of x: an even polynomial.
+    """
     if _poly_deg(m) != n or not m & 1:
         return False
     for d in range(1, n // 2 + 1):
-        for g in range(1 << d, 1 << (d + 1)):
+        for g in range((1 << d) | 1, 1 << (d + 1), 2):
             if _poly_mod(m, g) == 0:
                 return False
     return True
@@ -263,19 +273,6 @@ def _value_table(p: UniPoly) -> list[int]:
     return values
 
 
-def moebius(bits: int, n: int) -> int:
-    """Binary Moebius transform of a truth table over 2**n points.
-
-    Bit i of ``bits`` is the function at point i; bit i of the result is
-    the ANF coefficient of the monomial whose variables are the set bits
-    of i.  Each step XORs the half with index bit k clear into the half
-    with it set, all points at once.
-    """
-    for k in range(n):
-        bits ^= (bits & ~_index_pattern(k, n)) << (1 << k)
-    return bits
-
-
 def coordinate_functions(p: UniPoly) -> BoolMap:
     """Expand x -> p(x) into n Boolean coordinates over the basis.
 
@@ -284,13 +281,15 @@ def coordinate_functions(p: UniPoly) -> BoolMap:
     returned map on the bits of x reproduces the bits of p(x) exactly.
     """
     n = p.spec.n
-    values = _value_table(p)[::-1]  # highest point first, as int() reads digits
+    # n binary digits per point, highest point and highest bit first
+    digits = "".join(map(f"{{:0{n}b}}".format, reversed(_value_table(p))))
     uni = mask_of(range(n))
+    monomials = range(1 << n)
     coords = []
     for j in range(n):
-        table = int("".join(["1" if y >> j & 1 else "0" for y in values]), 2)
-        anf = format(moebius(table, n), "b")[::-1]  # character i: monomial i
-        coords.append(Anf(frozenset(i for i, ch in enumerate(anf) if ch == "1"), uni))
+        table = int(digits[n - 1 - j :: n], 2)  # bit j of every value
+        anf = format(moebius(table, n), "b")[::-1].translate(_SELECT)  # character i: monomial i
+        coords.append(Anf(frozenset(compress(monomials, anf.encode())), uni))
     return BoolMap.of(coords, n)
 
 

@@ -19,6 +19,7 @@ from boolinv.engine import (
     ClusterPlan,
     EngineConfig,
     _leaf_scan,
+    _live,
     compose_product,
     impl_for_simple,
     implicants,
@@ -205,6 +206,26 @@ def test_impl_for_simple_leaves_inessential_variables_free():
     s = impl_for_simple(BoolSystem.of([x_or_y, x]))
     assert s == ImplicantSet((Term.of((X1, 1)),), 1 << X1)
     assert s == _pointwise_minterms((x_or_y, x))
+
+
+def test_live_keeps_a_system_without_constant_factors():
+    uni = mask_of([X1, X2, X3])
+    x, y = Anf.variable(X1, uni), Anf.variable(X2, uni)
+    sys = BoolSystem((x, y), uni)
+    assert _live(sys) is sys
+    assert _live(BoolSystem((x, Anf.one(uni), y), uni)) == sys
+    assert _live(BoolSystem((x, Anf.zero(uni)), uni)) is None
+    assert _live(BoolSystem((Anf.one(uni),), uni)) == BoolSystem((), uni)
+
+
+def test_leaf_scan_answers_the_same_factors_once():
+    uni = mask_of([X1, X2, X3])
+    factors = (Anf.variable(X1, uni) ^ Anf.variable(X3, uni), Anf.variable(X2, uni))
+    scan = _leaf_scan(factors)
+    assert scan == (1 << X1, [X3, X2])
+    assert _leaf_scan(factors) is scan  # kept for the same tuple
+    other = _leaf_scan(tuple(list(factors)))  # an equal tuple is scanned anew
+    assert other == scan and other is not scan
 
 
 def test_select_prefers_small_disjoint_supports():

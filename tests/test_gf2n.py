@@ -13,6 +13,7 @@ from boolinv.gf2n import (
     MAX_TERM_POINTS,
     UniPoly,
     _is_irreducible,
+    _poly_mod,
     check_term_points,
     coordinate_functions,
     is_permutation_polynomial,
@@ -41,6 +42,27 @@ def test_reducible_modulus_rejected():
         FieldSpec(3, 0b1110)  # even constant term, divisible by x
     with pytest.raises(ValueError):
         FieldSpec(3, 0b111)  # degree mismatch
+
+
+def _is_irreducible_by_every_divisor(m: int, n: int) -> bool:
+    """Trial division by every polynomial of degree 1..n//2, even ones too."""
+    if m.bit_length() - 1 != n or not m & 1:
+        return False
+    return all(
+        _poly_mod(m, g) for d in range(1, n // 2 + 1) for g in range(1 << d, 1 << (d + 1))
+    )
+
+
+def test_odd_divisors_decide_irreducibility_up_to_degree_10():
+    counts = []
+    for n in range(1, 11):
+        found = 0
+        for m in range(1, 1 << (n + 1)):  # every polynomial of degree <= n
+            assert _is_irreducible(m, n) == _is_irreducible_by_every_divisor(m, n), (m, n)
+            found += _is_irreducible(m, n)
+        counts.append(found)
+    # the irreducibles of each degree, less x itself at degree 1
+    assert counts == [1, 1, 2, 3, 6, 9, 18, 30, 56, 99]
 
 
 def test_cube_of_generator_in_f8():

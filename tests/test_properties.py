@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolinv import parsing
-from boolinv.algebra import Anf, BoolSystem, mask_of
+from boolinv.algebra import Anf, BoolSystem, mask_of, submasks, vars_of
 from boolinv.cli import _HANDLERS, _json, main
-from boolinv.engine import EngineConfig, _leaf_scan, implicants
+from boolinv.engine import EngineConfig, _factor_table, _leaf_scan, implicants
 from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
 from boolinv.maps import BoolMap
 from boolinv.oracle import brute_image, brute_solutions
@@ -116,6 +117,70 @@ def test_implicants_match_oracle_at_any_bound(sys, bound):
     assert cover.is_pairwise_orthogonal()
     if _leaf_scan(sys.factors)[0].bit_count() <= bound:  # one leaf scan decides
         assert cover == implicants(sys, EngineConfig(base_bound_m=12))
+
+
+@st.composite
+def leaf_scans(draw):
+    """Scanned variables and monomials over them, with the run's first variable.
+
+    The k <= 12 variables run from 0, run from an offset, or leave gaps
+    (the first variable is then None).  The monomials are a few of the
+    2**k submasks, or any set of them.
+    """
+    k = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("from 0", "from an offset", "gapped")))
+    lo = 0 if kind == "from 0" else draw(st.integers(1, 20))
+    steps = [1] * max(k - 1, 0)
+    if kind == "gapped" and k >= 2:
+        steps = draw(st.lists(st.integers(1, 4), min_size=k - 1, max_size=k - 1))
+        steps[draw(st.integers(0, k - 2))] = draw(st.integers(2, 4))  # one gap at least
+    vs = list(itertools.accumulate(steps, initial=lo))[:k]
+    scanned = mask_of(vs)
+    indices = draw(
+        st.one_of(
+            st.sets(st.integers(0, (1 << k) - 1), max_size=20),
+            st.integers(0, (1 << (1 << k)) - 1).map(
+                lambda bits: {i for i in range(1 << k) if bits >> i & 1}
+            ),
+        )
+    )
+    monomials = frozenset(mask_of(v for j, v in enumerate(vs) if i >> j & 1) for i in indices)
+    run_start = None if kind == "gapped" and k >= 2 else lo
+    return scanned, run_start, monomials
+
+
+def _and_chain_table(monomials: frozenset, scanned: int) -> int:
+    """Truth table of the XOR of ``monomials``: one AND of variable patterns each.
+
+    The first scanned variable is the most significant bit of the point
+    index, as in the leaf.
+    """
+    vs = vars_of(scanned)
+    k = len(vs)
+    size = 1 << k
+    pattern = {  # the points where v is 1
+        v: sum(1 << i for i in range(size) if i >> (k - 1 - j) & 1) for j, v in enumerate(vs)
+    }
+    acc = 0
+    for m in monomials:
+        t = (1 << size) - 1
+        for v in vars_of(m):
+            t &= pattern[v]
+        acc ^= t
+    return acc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(leaf_scans())
+def test_factor_table_matches_the_and_chain(scan):
+    scanned, run_start, monomials = scan
+    points = submasks(scanned)
+    vs = vars_of(scanned)
+    index_bit = {1 << v: 1 << (len(vs) - 1 - j) for j, v in enumerate(vs)}
+    expected = _and_chain_table(monomials, scanned)
+    assert _factor_table(monomials, points, None, index_bit) == expected  # any scan
+    if run_start is not None:  # a run of variables places each monomial directly
+        assert _factor_table(monomials, points, run_start, None) == expected
 
 
 @st.composite
