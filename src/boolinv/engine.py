@@ -18,8 +18,10 @@ a 2**k-bit truth table held in one integer.  Each monomial sets its bit
 of a coefficient table, and the k shift-and-XOR steps of the Moebius
 transform turn that into the truth table; ``gf2n`` runs the same
 transform the other way.  Usually the scan is the whole support: the
-factor tables are ANDed and the satisfying minterms are read off the
-set bits.  When every factor has a variable of its own that occurs in
+coefficient tables of the factors lie side by side in one integer, up
+to 2**12 bits of them, so one transform serves them all, and the truth
+tables are ANDed and the satisfying minterms read off the set bits.
+When every factor has a variable of its own that occurs in
 it only as a lone monomial, as each y_j does in the graph factor
 f_j(X) + y_j + 1, the factor fixes that variable as a function of the
 others.  The scan then runs over the other variables only, every point
@@ -101,7 +103,7 @@ def _index_patterns(k: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def moebius(bits: int, n: int) -> int:
+def moebius(bits: int, n: int, copies: int = 0) -> int:
     """Binary Moebius transform of a table over 2**n points; it is its own inverse.
 
     Bit i of ``bits`` is the value at point i.  Read as a truth table it
@@ -109,43 +111,59 @@ def moebius(bits: int, n: int) -> int:
     coefficient of the monomial whose variables are the set bits of i.
     Read as a coefficient table it gives the truth table.  Each step XORs
     the half with index bit b clear into the half with it set, all points
-    at once.
+    at once.  ``bits`` may hold up to 2**copies tables side by side, table
+    j from bit j * 2**n up; the same n steps transform each of them.
     """
     shift = 1
-    for pattern in _index_patterns(n):
+    for pattern in _index_patterns(n + copies)[:n]:  # periodic in 2**n bits
         bits ^= (bits << shift) & pattern
         shift <<= 1
     return bits
 
 
-def _factor_table(
-    monomials: Iterable[int], points: list[int], lo: int | None, index_bit: dict[int, int] | None
+#: Factor tables transformed together hold at most 2**_PACK_BITS bits in
+#: all.  Wider packs would save few steps, each already costly in big-integer
+#: work, and ``_index_patterns`` would cache wider patterns than a leaf at
+#: the default bound needs.
+_PACK_BITS = 12
+
+
+def _factor_tables(
+    monomial_sets: list[Iterable[int]],
+    points: list[int],
+    lo: int | None,
+    index_bit: dict[int, int] | None,
 ) -> int:
-    """Truth table over the points of a leaf scan of the XOR of ``monomials``.
+    """Truth tables over the points of a leaf scan of the XOR of each monomial set.
 
     ``points[i]`` holds the scanned variables true at point i, as
-    ``submasks`` lists them, and every monomial is one of them.  The
-    coefficient table has bit i set when ``points[i]`` is a monomial, and
-    its Moebius transform is the truth table.  When the scan is the run of
-    variables from ``lo`` up, the point order reverses the run's bits, and
-    reversal undoes itself, so monomial m sits at ``points[m >> lo] >> lo``.
-    Any other scan (``lo`` None) has ``index_bit``, the bit of the point
-    index of each scanned variable's bit, and m sits at the OR of those of
-    its variables.
+    ``submasks`` lists them, and every monomial is one of them.  Table j
+    sits from bit j * len(points) up.  Its coefficient table has bit i set
+    when ``points[i]`` is a monomial of set j, and one Moebius transform
+    turns all the coefficient tables into truth tables at once.  When the
+    scan is the run of variables from ``lo`` up, the point order reverses
+    the run's bits, and reversal undoes itself, so monomial m sits at
+    ``points[m >> lo] >> lo``.  Any other scan (``lo`` None) has
+    ``index_bit``, the bit of the point index of each scanned variable's
+    bit, and m sits at the OR of those of its variables.
     """
-    table = 0
-    if lo is not None:
-        for m in monomials:
-            table |= 1 << (points[m >> lo] >> lo)
-    else:
-        for m in monomials:
-            i = 0
-            while m:
-                low = m & -m
-                i |= index_bit[low]
-                m ^= low
-            table |= 1 << i
-    return moebius(table, len(points).bit_length() - 1)
+    size = len(points)
+    coefficients = 0
+    base = 0
+    for monomials in monomial_sets:
+        if lo is not None:
+            for m in monomials:
+                coefficients |= 1 << (base + (points[m >> lo] >> lo))
+        else:
+            for m in monomials:
+                i = base
+                while m:
+                    low = m & -m
+                    i |= index_bit[low]
+                    m ^= low
+                coefficients |= 1 << i
+        base += size
+    return moebius(coefficients, size.bit_length() - 1, (len(monomial_sets) - 1).bit_length())
 
 
 #: The factors of the latest ``_leaf_scan`` call and its answer, held as
@@ -153,7 +171,7 @@ def _factor_table(
 _latest_scan: list = [(None, None)]
 
 
-def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
+def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
     """The variables a leaf scan enumerates, and each factor's solved variable.
 
     A variable is private-linear when it occurs in exactly one factor and
@@ -162,11 +180,12 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
     plus the rest of the factor, a function of the other variables.  The
     highest-indexed private-linear variable is the factor's solved one.
     When every factor has one, the scan skips the solved variables;
-    otherwise it runs over the whole support and the list is None.
+    otherwise it runs over the whole support and the tuple is None.
 
     The latest answer is kept, and returned again for the same tuple
-    object, so callers do not change it: ``_solve`` scans a branch to test
-    it against the bound, and its leaf then asks again.
+    object: ``_solve`` scans a branch to test it against the bound, and
+    its leaf then asks again.  It holds its factors until the next call
+    or the end of ``_solve``.
     """
     latest, answer = _latest_scan[0]
     if latest is factors:
@@ -189,7 +208,7 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, list[int] | None]:
         p = private.bit_length() - 1
         solved.append(p)
         scanned ^= 1 << p
-    answer = scanned, solved
+    answer = scanned, solved if solved is None else tuple(solved)
     _latest_scan[0] = factors, answer
     return answer
 
@@ -215,28 +234,35 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     limit = min(bound, MAX_BOUND)
     if k > limit:
         raise BoundExceededError(k, limit)
-    vs = vars_of(scanned)
     lo, index_bit = scanned.bit_length() - k, None
     if scanned >> lo != (1 << k) - 1:  # the scanned variables are not one run
-        lo, index_bit = None, {1 << v: 1 << (k - 1 - j) for j, v in enumerate(vs)}
+        lo = None
+        index_bit = {1 << v: 1 << (k - 1 - j) for j, v in enumerate(vars_of(scanned))}
     points = submasks(scanned)  # trues of the scanned variables at each point index
+    size = 1 << k
     essential = support
     if solved is not None:
+        # Each table is read on its own, and such a leaf has mostly one
+        # factor, so each factor has its own transform.
         trues = points
         for h, p in zip(factors, solved):
             bit = 1 << p
-            rest = _factor_table(h.monomials - {bit}, points, lo, index_bit)
-            column = format(rest, f"0{1 << k}b")[::-1]  # character i: rest at point i
+            rest = _factor_tables([h.monomials - {bit}], points, lo, index_bit)
+            column = format(rest, f"0{size}b")[::-1]  # character i: rest at point i
             # p = rest + 1
             trues = [t | bit if c == "0" else t for t, c in zip(trues, column)]
     else:
-        table = (1 << (1 << k)) - 1
-        for h in factors:
-            table &= _factor_table(h.monomials, points, lo, index_bit)
+        table = (1 << size) - 1
+        per_pack = 1 << max(_PACK_BITS - k, 0)
+        for first in range(0, len(factors), per_pack):
+            pack = factors[first : first + per_pack]
+            tables = _factor_tables([h.monomials for h in pack], points, lo, index_bit)
+            for j in range(len(pack)):
+                table &= tables >> (j * size)
             if not table:
                 return ImplicantSet((), 0)
         patterns = _index_patterns(k)
-        for j, v in enumerate(vs):
+        for j, v in enumerate(vars_of(scanned)):
             b = k - 1 - j  # the point-index bit of v
             p = patterns[b]
             low = table & ~p
@@ -250,7 +276,7 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
             trues.append(points[i])
             i = bits.find("1", i + 1)
     out = [Term(t, essential ^ t) for t in trues]
-    if solved and vs and min(solved) < vs[-1]:
+    if solved and scanned and min(solved) < scanned.bit_length() - 1:
         out.sort(key=Term.sort_key)  # a solved variable precedes a scanned one
     return ImplicantSet(tuple(out), essential)
 
@@ -436,6 +462,7 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
             (pos, neg, BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
             for pos, neg, res in partial
         ]
+    _latest_scan[0] = None, None
     if leaves > 1:
         out.sort(key=Term.sort_key)
     return out

@@ -180,11 +180,15 @@ def test_impl_for_simple_matches_pointwise_scan(monkeypatch):
         sorted_scans += scanned >> min(solved) > 0  # a scanned variable above a solved one
         systems += [list(graph.factors), list(renumbered.factors)]
     assert sorted_scans > 0
-    for factors in systems:
-        expected = _pointwise_minterms(tuple(factors))
-        assert impl_for_simple(BoolSystem.of(factors)) == expected  # terms and their order
-        if len(factors) == 1:
-            assert impl_for_simple(factors[0]) == expected
+    expected = [_pointwise_minterms(tuple(factors)) for factors in systems]
+    # with packs of 2**7 bits, an ANDed leaf over k < 7 variables with more
+    # than 2**(7 - k) factors takes several transforms of several tables
+    for pack_bits in (boolinv.engine._PACK_BITS, 7):
+        monkeypatch.setattr(boolinv.engine, "_PACK_BITS", pack_bits)
+        for factors, minterms in zip(systems, expected):
+            assert impl_for_simple(BoolSystem.of(factors)) == minterms  # terms and their order
+            if len(factors) == 1:
+                assert impl_for_simple(factors[0]) == minterms
 
     leaves = []  # a graph system within the bound is one scan over its inputs
 
@@ -222,7 +226,7 @@ def test_leaf_scan_answers_the_same_factors_once():
     uni = mask_of([X1, X2, X3])
     factors = (Anf.variable(X1, uni) ^ Anf.variable(X3, uni), Anf.variable(X2, uni))
     scan = _leaf_scan(factors)
-    assert scan == (1 << X1, [X3, X2])
+    assert scan == (1 << X1, (X3, X2))
     assert _leaf_scan(factors) is scan  # kept for the same tuple
     other = _leaf_scan(tuple(list(factors)))  # an equal tuple is scanned anew
     assert other == scan and other is not scan

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from boolinv import parsing
 from boolinv.algebra import Anf, BoolSystem, mask_of, submasks, vars_of
 from boolinv.cli import _HANDLERS, _json, main
-from boolinv.engine import EngineConfig, _factor_table, _leaf_scan, implicants
+from boolinv.engine import EngineConfig, _factor_tables, _leaf_scan, implicants
 from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
 from boolinv.maps import BoolMap
 from boolinv.oracle import brute_image, brute_solutions
@@ -121,11 +121,11 @@ def test_implicants_match_oracle_at_any_bound(sys, bound):
 
 @st.composite
 def leaf_scans(draw):
-    """Scanned variables and monomials over them, with the run's first variable.
+    """Scanned variables, one to five sets of monomials over them, and the run's first variable.
 
     The k <= 12 variables run from 0, run from an offset, or leave gaps
-    (the first variable is then None).  The monomials are a few of the
-    2**k submasks, or any set of them.
+    (the first variable is then None).  Each set is a few of the 2**k
+    submasks, or any set of them.
     """
     k = draw(st.integers(0, 12))
     kind = draw(st.sampled_from(("from 0", "from an offset", "gapped")))
@@ -136,17 +136,18 @@ def leaf_scans(draw):
         steps[draw(st.integers(0, k - 2))] = draw(st.integers(2, 4))  # one gap at least
     vs = list(itertools.accumulate(steps, initial=lo))[:k]
     scanned = mask_of(vs)
-    indices = draw(
-        st.one_of(
-            st.sets(st.integers(0, (1 << k) - 1), max_size=20),
-            st.integers(0, (1 << (1 << k)) - 1).map(
-                lambda bits: {i for i in range(1 << k) if bits >> i & 1}
-            ),
-        )
+    index_sets = st.one_of(
+        st.sets(st.integers(0, (1 << k) - 1), max_size=20),
+        st.integers(0, (1 << (1 << k)) - 1).map(
+            lambda bits: {i for i in range(1 << k) if bits >> i & 1}
+        ),
     )
-    monomials = frozenset(mask_of(v for j, v in enumerate(vs) if i >> j & 1) for i in indices)
+    monomial_sets = [
+        frozenset(mask_of(v for j, v in enumerate(vs) if i >> j & 1) for i in indices)
+        for indices in draw(st.lists(index_sets, min_size=1, max_size=5))
+    ]
     run_start = None if kind == "gapped" and k >= 2 else lo
-    return scanned, run_start, monomials
+    return scanned, run_start, monomial_sets
 
 
 def _and_chain_table(monomials: frozenset, scanned: int) -> int:
@@ -172,15 +173,18 @@ def _and_chain_table(monomials: frozenset, scanned: int) -> int:
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(leaf_scans())
-def test_factor_table_matches_the_and_chain(scan):
-    scanned, run_start, monomials = scan
+def test_factor_tables_match_the_and_chain(scan):
+    scanned, run_start, monomial_sets = scan
     points = submasks(scanned)
     vs = vars_of(scanned)
     index_bit = {1 << v: 1 << (len(vs) - 1 - j) for j, v in enumerate(vs)}
-    expected = _and_chain_table(monomials, scanned)
-    assert _factor_table(monomials, points, None, index_bit) == expected  # any scan
+    expected = sum(  # table j from bit j * 2**k up
+        _and_chain_table(monomials, scanned) << (j * len(points))
+        for j, monomials in enumerate(monomial_sets)
+    )
+    assert _factor_tables(monomial_sets, points, None, index_bit) == expected  # any scan
     if run_start is not None:  # a run of variables places each monomial directly
-        assert _factor_table(monomials, points, run_start, None) == expected
+        assert _factor_tables(monomial_sets, points, run_start, None) == expected
 
 
 @st.composite
