@@ -10,7 +10,7 @@ and the oracle build their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class MissingVariableError(KeyError):
@@ -22,15 +22,6 @@ class MissingVariableError(KeyError):
 
     def __str__(self) -> str:
         return f"assignment does not cover variable {self.var}"
-
-
-class OrthogonalityError(ValueError):
-    """A family of terms claimed to be pairwise orthogonal is not."""
-
-
-class Literal(NamedTuple):
-    var: int
-    polarity: int  # 1 = plain variable, 0 = complemented
 
 
 def mask_of(vars: Iterable[int]) -> int:
@@ -64,28 +55,6 @@ def submasks(mask: int) -> list[int]:
         bit = 1 << v
         out += [p | bit for p in out]
     return out
-
-
-class _ContradictionType:
-    """Singleton marker for an inconsistent literal conjunction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CONTRADICTION"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Returned by Term.conjoin when some variable occurs with both polarities.
-#: A value, not an exception: orthogonality checks hit it on purpose.
-CONTRADICTION = _ContradictionType()
 
 
 @dataclass(frozen=True)
@@ -156,16 +125,6 @@ class Term:
     def literal_count(self) -> int:
         return (self.pos | self.neg).bit_count()
 
-    def literals(self) -> Iterator[Literal]:
-        for v in vars_of(self.pos | self.neg):
-            yield Literal(v, (self.pos >> v) & 1)
-
-    def conjoin(self, other: "Term") -> "Term | _ContradictionType":
-        """Product of two cubes; CONTRADICTION if satisfying sets are disjoint."""
-        if (self.pos | other.pos) & (self.neg | other.neg):
-            return CONTRADICTION
-        return Term(self.pos | other.pos, self.neg | other.neg)
-
     def satisfies(self, a: Assignment) -> bool:
         return (self.pos & ~a.trues) == 0 and (self.neg & a.trues) == 0
 
@@ -197,7 +156,8 @@ class Term:
     def sort_key(self) -> tuple[int, ...]:
         """Canonical order: ``2*var + polarity`` per literal, ascending var.
 
-        Orders terms exactly as ``tuple(self.literals())`` does.
+        Orders terms exactly as their tuples of ``(var, polarity)`` pairs,
+        ascending var, with polarity 1 for a plain literal.
         """
         pos = self.pos
         return tuple(2 * v + ((pos >> v) & 1) for v in vars_of(pos | self.neg))
@@ -371,7 +331,7 @@ class ImplicantSet:
     """A family of terms covering a system's solution set.
 
     Producers guarantee the cover is complete and pairwise orthogonal;
-    ``is_pairwise_orthogonal`` and the exhaustive validator audit it.
+    the audits in ``oracle`` check it.
     """
 
     terms: tuple[Term, ...]
@@ -382,48 +342,3 @@ class ImplicantSet:
 
     def satisfying_total(self) -> int:
         return sum(t.satisfying_count(self.universe) for t in self.terms)
-
-    def is_pairwise_orthogonal(self) -> bool:
-        return self._orthogonality_violation() is None
-
-    def _orthogonality_violation(self) -> tuple[int, int] | None:
-        ts = self.terms
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                if ts[i].conjoin(ts[j]) is not CONTRADICTION:
-                    return (i, j)
-        return None
-
-    def expand_minterms(self, cap: int = 1 << 20) -> list[Term]:
-        """Every cube blown out to full universe minterms, canonically sorted."""
-        if self.satisfying_total() > cap:
-            raise ValueError(f"expansion would exceed {cap} minterms")
-        out: list[Term] = []
-        for t in self.terms:
-            out.extend(t.expand(self.universe))
-        out.sort(key=Term.sort_key)
-        return out
-
-
-def is_implicant(t: Term, sys: BoolSystem) -> bool:
-    """True when every point of the cube satisfies every factor.
-
-    Equivalent to the cofactor of each factor by the term being the
-    constant 1, which is a structural check on canonical ANF.
-    """
-    if t.vars_mask & ~sys.universe:
-        raise ValueError("term uses a variable outside the system universe")
-    return all(h.ratio(t).is_one for h in sys.factors)
-
-
-def og_sum_is_tautology(s: ImplicantSet) -> bool:
-    """Whether an orthogonal family covers the whole universe cube.
-
-    For pairwise-orthogonal terms the union is exact, so the cover is the
-    full cube iff the counted sizes add up to 2^|universe|.  The
-    orthogonality precondition is audited and violations raise.
-    """
-    bad = s._orthogonality_violation()
-    if bad is not None:
-        raise OrthogonalityError(f"terms {bad[0]} and {bad[1]} overlap")
-    return s.satisfying_total() == 1 << s.universe.bit_count()

@@ -5,6 +5,11 @@ at point ``i``, where bit ``k`` of the point index is the value of the
 k-th smallest universe variable.  Everything here is brute force by
 design; it exists to validate the symbolic machinery, so it shares no
 logic with it beyond ANF evaluation semantics.
+
+``validate_implicant_set`` and the ``brute_*`` readers use truth tables.
+The cover audits ``is_implicant``, ``og_sum_is_tautology`` (the paper's
+"orthogonal sum is 1" condition) and the pairwise orthogonality check
+build none: they use cofactors, literal masks and point counts.
 """
 
 from __future__ import annotations
@@ -122,14 +127,6 @@ class TruthTable:
             bits ^= low
 
 
-def _byte_view(bits: int, n_points: int) -> bytes:
-    return bits.to_bytes((n_points + 7) // 8, "little")
-
-
-def _bit_at(view: bytes, i: int) -> int:
-    return (view[i >> 3] >> (i & 7)) & 1
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of exhaustively auditing an implicant cover."""
@@ -163,7 +160,6 @@ def validate_implicant_set(
     sol = TruthTable.from_system(sys).bits
     sound, orthogonal = True, True
     unsound_term = overlap = None
-    acc = 0
     union = 0
     for idx, t in enumerate(cover.terms):
         tt = TruthTable.from_term(t, sys.universe).bits
@@ -171,8 +167,8 @@ def validate_implicant_set(
             bad = (tt & ~sol) & -(tt & ~sol)
             sound = False
             unsound_term = (idx, point_assignment(sys.universe, bad.bit_length() - 1))
-        if orthogonal and tt & acc:
-            shared = (tt & acc) & -(tt & acc)
+        if orthogonal and tt & union:
+            shared = (tt & union) & -(tt & union)
             point = shared.bit_length() - 1
             prev = next(
                 j
@@ -181,7 +177,6 @@ def validate_implicant_set(
             )
             orthogonal = False
             overlap = (prev, idx, point_assignment(sys.universe, point))
-        acc |= tt
         union |= tt
     missing = sol & ~union
     complete = missing == 0
@@ -194,6 +189,44 @@ def validate_implicant_set(
 
 def _term_hits(t: Term, universe: int, point: int) -> bool:
     return t.satisfies(point_assignment(universe, point))
+
+
+class OrthogonalityError(ValueError):
+    """A family of terms claimed to be pairwise orthogonal is not."""
+
+
+def _orthogonality_violation(ts: Sequence[Term]) -> tuple[int, int] | None:
+    """The first pair of terms with no clashing literal, so sharing a point."""
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            a, b = ts[i], ts[j]
+            if not (a.pos | b.pos) & (a.neg | b.neg):
+                return (i, j)
+    return None
+
+
+def is_implicant(t: Term, sys: BoolSystem) -> bool:
+    """True when every point of the cube satisfies every factor.
+
+    Equivalent to the cofactor of each factor by the term being the
+    constant 1, which is a structural check on canonical ANF.
+    """
+    if t.vars_mask & ~sys.universe:
+        raise ValueError("term uses a variable outside the system universe")
+    return all(h.ratio(t).is_one for h in sys.factors)
+
+
+def og_sum_is_tautology(s: ImplicantSet) -> bool:
+    """Whether an orthogonal family covers the whole universe cube.
+
+    For pairwise-orthogonal terms the union is exact, so the cover is the
+    full cube iff the counted sizes add up to 2^|universe|.  The
+    orthogonality precondition is audited and violations raise.
+    """
+    bad = _orthogonality_violation(s.terms)
+    if bad is not None:
+        raise OrthogonalityError(f"terms {bad[0]} and {bad[1]} overlap")
+    return s.satisfying_total() == 1 << s.universe.bit_count()
 
 
 def solution_count(sys: BoolSystem, cap: int = 24) -> int:
@@ -212,41 +245,34 @@ def brute_solutions(sys: BoolSystem, cap: int = 24) -> list[Assignment]:
     return [point_assignment(sys.universe, i) for i in tt.points()]
 
 
-def _coord_views(F: "BoolMap") -> list[bytes]:
-    n_points = 1 << F.n_in
-    return [
-        _byte_view(TruthTable.from_anf(f).bits, n_points) for f in F.coords
-    ]
+def _outputs(F: "BoolMap", cap: int) -> Iterator[int]:
+    """F(x) with coordinate j at bit j, x ascending; the cap is checked on first read."""
+    if F.n_in > cap:
+        raise ValueError(f"{F.n_in} inputs exceeds the exhaustive cap {cap}")
+    n_bytes = ((1 << F.n_in) + 7) // 8
+    views = [TruthTable.from_anf(f).bits.to_bytes(n_bytes, "little") for f in F.coords]
+    for x in range(1 << F.n_in):
+        byte, shift = x >> 3, x & 7
+        y = 0
+        for j, view in enumerate(views):
+            y |= ((view[byte] >> shift) & 1) << j
+        yield y
 
 
 def brute_image(F: "BoolMap", cap: int = 16) -> frozenset[int]:
     """Every attained output, packed with coordinate j at bit j."""
-    if F.n_in > cap:
-        raise ValueError(f"{F.n_in} inputs exceeds the exhaustive cap {cap}")
-    views = _coord_views(F)
-    out = set()
-    for x in range(1 << F.n_in):
-        y = 0
-        for j, view in enumerate(views):
-            y |= _bit_at(view, x) << j
-        out.add(y)
-    return frozenset(out)
+    return frozenset(_outputs(F, cap))
 
 
 def brute_image_count(F: "BoolMap", cap: int = 24) -> int:
     """Distinct outputs; bitset-backed so it scales past set overhead."""
-    if F.n_in > cap:
-        raise ValueError(f"{F.n_in} inputs exceeds the exhaustive cap {cap}")
-    views = _coord_views(F)
+    outputs = _outputs(F, cap)
     m = len(F.coords)
     if m > 24:
-        return len(brute_image(F, cap=cap))
+        return len(set(outputs))
     seen = bytearray(1 << max(m - 3, 0))
     count = 0
-    for x in range(1 << F.n_in):
-        y = 0
-        for j, view in enumerate(views):
-            y |= _bit_at(view, x) << j
+    for y in outputs:
         byte, bit = y >> 3, 1 << (y & 7)
         if not seen[byte] & bit:
             seen[byte] |= bit
@@ -258,15 +284,9 @@ def brute_injective(
     F: "BoolMap", cap: int = 16
 ) -> tuple[bool, tuple[Assignment, Assignment] | None]:
     """Scan for a collision; the witness pair is in input-scan order."""
-    if F.n_in > cap:
-        raise ValueError(f"{F.n_in} inputs exceeds the exhaustive cap {cap}")
-    views = _coord_views(F)
     universe = (1 << F.n_in) - 1
     seen: dict[int, int] = {}
-    for x in range(1 << F.n_in):
-        y = 0
-        for j, view in enumerate(views):
-            y |= _bit_at(view, x) << j
+    for x, y in enumerate(_outputs(F, cap)):
         if y in seen:
             return False, (
                 point_assignment(universe, seen[y]),

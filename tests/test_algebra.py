@@ -1,4 +1,4 @@
-"""Core algebra: terms, ANF arithmetic, cofactors, implicant checks."""
+"""Core algebra: terms, ANF arithmetic, cofactors, canonical order."""
 
 import itertools
 import random
@@ -9,14 +9,9 @@ from boolinv.algebra import (
     Anf,
     Assignment,
     BoolSystem,
-    CONTRADICTION,
-    ImplicantSet,
     MissingVariableError,
-    OrthogonalityError,
     Term,
-    is_implicant,
     mask_of,
-    og_sum_is_tautology,
     submasks,
     vars_of,
 )
@@ -43,25 +38,9 @@ def test_term_validation_rejects_conflicting_polarity():
         Term(pos=0b1, neg=0b1)
 
 
-def test_term_conjoin_merges_literals():
-    t1 = Term.of((X1, 1), (X2, 0))
-    t2 = Term.of((X3, 1))
-    t = t1.conjoin(t2)
-    assert t == Term(pos=0b101, neg=0b010)
-
-
-def test_term_conjoin_contradiction():
-    t1 = Term.of((X1, 1))
-    t2 = Term.of((X1, 0))
-    assert t1.conjoin(t2) is CONTRADICTION
-    assert not CONTRADICTION
-
-
 def test_empty_term_is_identity():
     one = Term()
-    t = Term.of((X2, 1), (X4, 0))
     assert one.is_one
-    assert one.conjoin(t) == t
 
 
 def test_term_satisfying_count():
@@ -185,16 +164,6 @@ def test_ratio_agrees_with_evaluation_on_remaining_cube():
         assert g.evaluate(Assignment.from_values(rest)) == f.evaluate(full)
 
 
-def test_is_implicant_structural():
-    uni = mask_of([X1, X2, X3])
-    x1, x2, x3 = (Anf.variable(v, uni) for v in (X1, X2, X3))
-    # system: x1 x2 = 1 and x3 + 1 = 1  (i.e. x3 = 0)
-    sys = BoolSystem.of([x1 * x2, ~x3], universe=uni)
-    assert is_implicant(Term.of((X1, 1), (X2, 1), (X3, 0)), sys)
-    assert not is_implicant(Term.of((X1, 1), (X2, 1)), sys)  # x3 left free
-    assert not is_implicant(Term.of((X1, 1), (X3, 0)), sys)
-
-
 def test_system_ratio_cofactors_every_factor():
     uni = mask_of([X1, X2])
     x1, x2 = Anf.variable(X1, uni), Anf.variable(X2, uni)
@@ -203,24 +172,6 @@ def test_system_ratio_cofactors_every_factor():
     assert sub.universe == mask_of([X2])
     assert sub.factors[0].monomials == frozenset((1 << X2, 0))
     assert sub.factors[1].monomials == frozenset((1 << X2, 0))
-
-
-def test_og_sum_detects_tautology():
-    uni = mask_of([X1, X2])
-    cover = ImplicantSet(
-        (Term.of((X1, 1)), Term.of((X1, 0), (X2, 1)), Term.of((X1, 0), (X2, 0))),
-        uni,
-    )
-    assert og_sum_is_tautology(cover)
-    partial = ImplicantSet((Term.of((X1, 1)), Term.of((X1, 0), (X2, 1))), uni)
-    assert not og_sum_is_tautology(partial)
-
-
-def test_og_sum_rejects_overlapping_family():
-    uni = mask_of([X1, X2])
-    overlapping = ImplicantSet((Term.of((X1, 1)), Term.of((X2, 1))), uni)
-    with pytest.raises(OrthogonalityError):
-        og_sum_is_tautology(overlapping)
 
 
 def test_sorted_monomials_order():
@@ -232,24 +183,18 @@ def test_sorted_monomials_order():
     assert order == [1 << X2, (1 << X1) | (1 << X3), 0b111, 0]
 
 
-def test_expand_minterms_sorted_and_capped():
-    uni = mask_of([X1, X2, X3])
-    s = ImplicantSet((Term.of((X1, 1)), Term.of((X1, 0), (X2, 1))), uni)
-    ms = s.expand_minterms()
-    assert len(ms) == 6
-    assert ms == sorted(ms, key=Term.sort_key)
-    with pytest.raises(ValueError):
-        s.expand_minterms(cap=3)
-
-
 def test_sort_key_orders_like_literal_tuples():
     rng = random.Random(7)
     terms = []
     for _ in range(2000):
         vs = rng.sample(range(rng.choice((3, 6, 40))), rng.randint(0, 3))
         terms.append(Term.of(*((v, rng.randint(0, 1)) for v in vs)))
-    by_literals = sorted(terms, key=lambda t: tuple(t.literals()))
+
+    def literals(t: Term) -> tuple[tuple[int, int], ...]:
+        return tuple((v, (t.pos >> v) & 1) for v in vars_of(t.pos | t.neg))
+
+    by_literals = sorted(terms, key=literals)
     assert sorted(terms, key=Term.sort_key) == by_literals
     for a, b in zip(terms, terms[1:]):
-        assert (a.sort_key() < b.sort_key()) == (tuple(a.literals()) < tuple(b.literals()))
+        assert (a.sort_key() < b.sort_key()) == (literals(a) < literals(b))
         assert (a.sort_key() == b.sort_key()) == (a == b)

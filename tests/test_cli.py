@@ -476,6 +476,63 @@ def test_module_invocation_runs():
 def test_every_exported_name_resolves():
     # a dangling __all__ entry breaks ``from boolinv import *``
     assert [name for name in boolinv.__all__ if not hasattr(boolinv, name)] == []
+    # adding or removing a public name shows up in this list
+    assert sorted(boolinv.__all__) == [
+        "Anf",
+        "Assignment",
+        "BoolMap",
+        "BoolSystem",
+        "BoundExceededError",
+        "ComplementResult",
+        "EngineConfig",
+        "FieldElem",
+        "FieldSpec",
+        "ImplicantSet",
+        "MapProblem",
+        "MissingVariableError",
+        "NonSquareMapError",
+        "OrthogonalityError",
+        "ParseError",
+        "PolyProblem",
+        "SystemProblem",
+        "Term",
+        "TruthTable",
+        "UniPoly",
+        "UniqueSolutionResult",
+        "Uniqueness",
+        "ValidationReport",
+        "VarTable",
+        "Verdict",
+        "__version__",
+        "brute_image",
+        "brute_image_count",
+        "brute_injective",
+        "brute_solutions",
+        "build_collision_system",
+        "build_graph_system",
+        "coi",
+        "collision_implicants",
+        "compose_product",
+        "coordinate_functions",
+        "diagonal_set",
+        "format_problem",
+        "goe",
+        "graph_implicants",
+        "implicants",
+        "is_implicant",
+        "is_invertible_square",
+        "is_one_to_one_diagonal",
+        "is_one_to_one_general",
+        "is_permutation_polynomial",
+        "mask_of",
+        "og_sum_is_tautology",
+        "parse_file",
+        "parse_text",
+        "solution_count",
+        "unique_solution",
+        "validate_implicant_set",
+        "vars_of",
+    ]
 
 
 def _bindings() -> dict:

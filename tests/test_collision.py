@@ -11,7 +11,6 @@ from boolinv.algebra import (
     BoolSystem,
     ImplicantSet,
     Term,
-    is_implicant,
     mask_of,
 )
 from boolinv.collision import (
@@ -23,6 +22,7 @@ from boolinv.collision import (
     is_one_to_one_diagonal,
 )
 from boolinv.maps import BoolMap, is_one_to_one_general
+from boolinv.oracle import is_implicant
 
 from conftest import (
     identity_map,

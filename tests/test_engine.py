@@ -320,11 +320,21 @@ def test_implicants_quad_graph_output_projection():
     assert len({t.pos & y_mask for t in out.terms}) == 10
 
 
+def _points(cover: ImplicantSet) -> list[Term]:
+    """Every universe minterm inside the cover's cubes, in canonical order."""
+    return sorted((p for t in cover.terms for p in t.expand(cover.universe)), key=Term.sort_key)
+
+
+def _product(a: Term, b: Term) -> Term:
+    """Conjunction of two cubes; Term raises if a variable clashes."""
+    return Term(a.pos | b.pos, a.neg | b.neg)
+
+
 def test_implicants_solution_set_independent_of_bound():
     sys = quad_graph_system()
-    base = implicants(sys, EngineConfig(base_bound_m=12)).expand_minterms()
+    base = _points(implicants(sys, EngineConfig(base_bound_m=12)))
     for m in (2, 3, 4, 6):
-        got = implicants(sys, EngineConfig(base_bound_m=m)).expand_minterms()
+        got = _points(implicants(sys, EngineConfig(base_bound_m=m)))
         assert got == base
 
 
@@ -359,7 +369,7 @@ def test_disjoint_product_law():
         )
         ia, ib = implicants(a), implicants(b)
         expected = sorted(
-            (ta.conjoin(tb) for ta in ia.terms for tb in ib.terms),
+            (_product(ta, tb) for ta in ia.terms for tb in ib.terms),
             key=Term.sort_key,
         )
         assert list(implicants(combined).terms) == expected
@@ -399,10 +409,10 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
             residual = [live.factors[i] for i in plan.residual]
             branches = []
             for combo in itertools.product(*covers):
-                t = reduce(Term.conjoin, combo, Term())
+                t = reduce(_product, combo, Term())
                 sub = BoolSystem(tuple(h.ratio(t) for h in residual), live.universe & ~t.vars_mask)
                 branches.append((t, sub))
-        return [seed.conjoin(x) for seed, sub in branches for x in solve(sub)]
+        return [_product(seed, x) for seed, sub in branches for x in solve(sub)]
 
     terms = solve(sys)
     if _leaf_scan(sys.factors)[0].bit_count() > bound:

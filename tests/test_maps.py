@@ -12,7 +12,6 @@ from boolinv.algebra import (
     ImplicantSet,
     Term,
     mask_of,
-    og_sum_is_tautology,
     submasks,
 )
 from boolinv.engine import EngineConfig
@@ -28,7 +27,7 @@ from boolinv.maps import (
     is_one_to_one_general,
     unique_solution,
 )
-from boolinv.oracle import brute_image, brute_injective, solution_count
+from boolinv.oracle import brute_image, brute_injective, og_sum_is_tautology, solution_count
 
 from conftest import (
     identity_map,

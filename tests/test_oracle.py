@@ -7,21 +7,30 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boolinv
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of
 from boolinv.oracle import (
+    OrthogonalityError,
     TruthTable,
+    _orthogonality_violation,
     brute_image,
     brute_image_count,
     brute_injective,
     brute_solutions,
+    is_implicant,
+    og_sum_is_tautology,
     point_assignment,
     solution_count,
     validate_implicant_set,
 )
 
+from conftest import random_map_coords
+
 A, B, C = 0, 1, 2
+X1, X2, X3 = A, B, C
 
 
 def test_point_assignment_bit_convention():
@@ -113,6 +122,65 @@ def test_validate_rejects_oversized_universe():
         validate_implicant_set(ImplicantSet((), uni), sys)
 
 
+def test_is_implicant_structural():
+    uni = mask_of([X1, X2, X3])
+    x1, x2, x3 = (Anf.variable(v, uni) for v in (X1, X2, X3))
+    # system: x1 x2 = 1 and x3 + 1 = 1  (i.e. x3 = 0)
+    sys = BoolSystem.of([x1 * x2, ~x3], universe=uni)
+    assert is_implicant(Term.of((X1, 1), (X2, 1), (X3, 0)), sys)
+    assert not is_implicant(Term.of((X1, 1), (X2, 1)), sys)  # x3 left free
+    assert not is_implicant(Term.of((X1, 1), (X3, 0)), sys)
+
+
+def test_og_sum_detects_tautology():
+    uni = mask_of([X1, X2])
+    cover = ImplicantSet(
+        (Term.of((X1, 1)), Term.of((X1, 0), (X2, 1)), Term.of((X1, 0), (X2, 0))),
+        uni,
+    )
+    assert og_sum_is_tautology(cover)
+    partial = ImplicantSet((Term.of((X1, 1)), Term.of((X1, 0), (X2, 1))), uni)
+    assert not og_sum_is_tautology(partial)
+
+
+def test_og_sum_rejects_overlapping_family():
+    uni = mask_of([X1, X2])
+    overlapping = ImplicantSet((Term.of((X1, 1)), Term.of((X2, 1))), uni)
+    with pytest.raises(OrthogonalityError):
+        og_sum_is_tautology(overlapping)
+
+
+@st.composite
+def cube_families(draw):
+    """Up to seven cubes over at most 8 variables; some families hold a
+    cube together with a subcube of it, so those two surely overlap."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        pos = draw(st.integers(0, full))
+        terms.append(Term(pos, draw(st.integers(0, full)) & ~pos))
+    if terms and draw(st.booleans()):
+        t = terms[draw(st.integers(0, len(terms) - 1))]
+        v = 1 << draw(st.integers(0, n - 1))
+        if not t.vars_mask & v:
+            t = Term(t.pos | v, t.neg) if draw(st.booleans()) else Term(t.pos, t.neg | v)
+        terms.insert(draw(st.integers(0, len(terms))), t)
+    return tuple(terms), full
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cube_families())
+def test_mask_and_truth_table_orthogonality_audits_agree(family):
+    terms, uni = family
+    sys = BoolSystem.of([Anf.one(uni)], universe=uni)
+    bad = _orthogonality_violation(terms)
+    assert (bad is None) == validate_implicant_set(ImplicantSet(terms, uni), sys).orthogonal
+    if bad is not None:
+        i, j = bad
+        assert TruthTable.from_term(terms[i], uni).bits & TruthTable.from_term(terms[j], uni).bits
+
+
 def test_brute_solutions_order_and_content():
     uni = mask_of([A, B, C])
     x = [Anf.variable(v, uni) for v in range(3)]
@@ -150,6 +218,20 @@ def test_brute_image_respects_cap():
     F = _tiny_map(coords, 17)
     with pytest.raises(ValueError):
         brute_image(F)
+    with pytest.raises(ValueError):
+        brute_injective(F)
+    with pytest.raises(ValueError):
+        brute_image_count(F, cap=16)
+
+
+def test_image_count_matches_image_on_both_paths():
+    # m <= 24 counts in a bitset of seen outputs, m > 24 in a set
+    rng = random.Random(23)
+    for m in (1, 2, 3, 4, 25, 26):
+        for _ in range(8):
+            n = rng.randint(1, 6)
+            F = _tiny_map(random_map_coords(rng, n, m), n)
+            assert brute_image_count(F) == len(brute_image(F))
 
 
 def test_only_the_front_end_imports_the_oracle():
