@@ -39,8 +39,9 @@ from conftest import random_map_coords
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 
-#: (seed, n, m) of the generated maps, written with format_problem
-MAPS = ((35, 3, 5), (55, 5, 5), (43, 4, 3), (57, 5, 7))
+#: (seed, n, m) of the generated maps, written with format_problem; the
+#: 9x12 map leaves x3 unused and needs output words wider than 8 bits
+MAPS = ((35, 3, 5), (55, 5, 5), (43, 4, 3), (57, 5, 7), (2, 9, 12))
 FORMATS = ("text", "json")
 FLAGS = ((), ("--bound", "2"), ("--max-enum", "8"))
 #: argv refused by argparse, or answered with help; FILE is quad.txt
