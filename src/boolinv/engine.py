@@ -28,7 +28,9 @@ others.  The scan then runs over the other variables only, every point
 is a solution, and each solved variable is read off its own factor's
 table.  So the graph system of a map with n inputs is one scan of 2**n
 points, whatever its number of outputs, and the bound counts scanned
-variables, not the support.
+variables, not the support.  Such a scan need not make terms at all:
+``_functional_scan`` transposes the solved variables' tables into one
+output word per point, which is all that the map verdicts read.
 The decomposition collects its terms unordered and the top level sorts
 them once, so output order is canonical.
 """
@@ -37,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from sys import byteorder
+from typing import Iterable, Sequence
 
 from .algebra import Anf, BoolSystem, ImplicantSet, Term, submasks, vars_of
 
@@ -213,6 +216,82 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
     return answer
 
 
+def _scan_points(scanned: int, k: int) -> tuple[list[int], int | None, dict[int, int] | None]:
+    """The points of a scan of the k variables of ``scanned``, and ``_factor_tables``' placement."""
+    lo, index_bit = scanned.bit_length() - k, None
+    if scanned >> lo != (1 << k) - 1:  # the scanned variables are not one run
+        lo = None
+        index_bit = {1 << v: 1 << (k - 1 - j) for j, v in enumerate(vars_of(scanned))}
+    return submasks(scanned), lo, index_bit
+
+
+def _solved_columns(
+    factors: tuple[Anf, ...],
+    solved: tuple[int, ...],
+    points: list[int],
+    lo: int | None,
+    index_bit: dict[int, int] | None,
+) -> list[int]:
+    """Each factor's solved variable as a table over the points of a functional scan.
+
+    Bit i of table j is the value of ``solved[j]`` at ``points[i]``: one
+    plus the rest of factor j.  Each table is read on its own, and such a
+    leaf has mostly one factor, so each factor has its own transform.
+    """
+    ones = (1 << len(points)) - 1
+    columns = []
+    for h, p in zip(factors, solved):
+        columns.append(_factor_tables([h.monomials - {1 << p}], points, lo, index_bit) ^ ones)
+    return columns
+
+
+#: ``memoryview.cast`` format of the native unsigned integer of each width.
+_WORD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _words(columns: list[int], size: int) -> Sequence[int]:
+    """The transpose of the tables: word i has bit j from bit i of ``columns[j]``.
+
+    Each column's digits go into one buffer at a stride of ``width``
+    digits, a slot per point, highest point first.  Up to 64 columns one
+    ``int`` reads the buffer, and its bytes are the words as native 8-,
+    16-, 32- or 64-bit integers; wider words are read one slot at a time.
+    """
+    m = len(columns)
+    width = m if m > 64 else max(8, 1 << (m - 1).bit_length())
+    digits = bytearray(b"0") * (size * width)
+    for j, column in enumerate(columns):
+        # character c of the column is its bit at point size - 1 - c
+        digits[width - 1 - j :: width] = format(column, f"0{size}b").encode()
+    if m > 64:
+        return [int(digits[s : s + m], 2) for s in range((size - 1) * m, -1, -m)]
+    # the integer holds word i from bit i * width up
+    data = int(digits, 2).to_bytes(size * width // 8, byteorder)
+    words = memoryview(data).cast(_WORD_FORMAT[width])
+    return words if byteorder == "little" else words[::-1]
+
+
+def _functional_scan(sys: BoolSystem, bound: int) -> tuple[list[int], Sequence[int]] | None:
+    """The points of the one functional leaf that decides ``sys``, and each point's word.
+
+    None unless every factor has a solved variable (see ``_leaf_scan``)
+    and the scan of the others is within ``bound``.  Word i packs the
+    solved values at ``points[i]``, factor j's at bit j; for a graph
+    system that is ``BoolMap.evaluate`` at the point.  The points come in
+    the scan's order, which is the canonical term order when every solved
+    variable follows every scanned one, as in a graph system.  No ``Term``
+    is made: the scan's terms are each point with its solved values.
+    """
+    factors = sys.factors
+    scanned, solved = _leaf_scan(factors)
+    _latest_scan[0] = None, None
+    k = scanned.bit_count()
+    if solved is None or k > min(bound, MAX_BOUND):
+        return None
+    points, lo, index_bit = _scan_points(scanned, k)
+    return points, _words(_solved_columns(factors, solved, points, lo, index_bit), len(points))
+
+
 def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
     """All satisfying minterms of ``f``, or of the AND of a system's factors.
 
@@ -234,23 +313,16 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     limit = min(bound, MAX_BOUND)
     if k > limit:
         raise BoundExceededError(k, limit)
-    lo, index_bit = scanned.bit_length() - k, None
-    if scanned >> lo != (1 << k) - 1:  # the scanned variables are not one run
-        lo = None
-        index_bit = {1 << v: 1 << (k - 1 - j) for j, v in enumerate(vars_of(scanned))}
-    points = submasks(scanned)  # trues of the scanned variables at each point index
+    points, lo, index_bit = _scan_points(scanned, k)  # trues of the scanned variables
     size = 1 << k
     essential = support
     if solved is not None:
-        # Each table is read on its own, and such a leaf has mostly one
-        # factor, so each factor has its own transform.
         trues = points
-        for h, p in zip(factors, solved):
+        columns = _solved_columns(factors, solved, points, lo, index_bit)
+        for p, column in zip(solved, columns):
             bit = 1 << p
-            rest = _factor_tables([h.monomials - {bit}], points, lo, index_bit)
-            column = format(rest, f"0{size}b")[::-1]  # character i: rest at point i
-            # p = rest + 1
-            trues = [t | bit if c == "0" else t for t, c in zip(trues, column)]
+            digits = format(column, f"0{size}b")[::-1]  # character i: p at point i
+            trues = [t | bit if c == "1" else t for t, c in zip(trues, digits)]
     else:
         table = (1 << size) - 1
         per_pack = 1 << max(_PACK_BITS - k, 0)

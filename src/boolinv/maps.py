@@ -4,24 +4,26 @@ A map F: F2^n -> F2^m is held as m coordinate polynomials over input
 variables 0..n-1.  Output variables take the ids n..n+m-1, appended
 after the inputs.  The graph system h_i = f_i + y_i + 1 is satisfied
 exactly by the pairs (x, F(x)); each cover term is the paper's
-r_i(X)·s_i(Y), an input cube times one output point.  The cover is read
-in place with masks: ``t.pos & F.x_universe`` is the plain part of the
-input cube and ``t.pos & F.y_universe`` names the output point, which
-decides injectivity, image and the complement of the image without
-enumerating inputs.  Injectivity is one pass over the cover: it keeps
-the first input point of each output, the first repeated output and
-the first input cube with a free variable.  The complement is answered
-in output words, ``t.pos >> n_in``, the packing of ``BoolMap.evaluate``.
+r_i(X)·s_i(Y), an input cube times one output point.  Injectivity, the
+image and the complement of the image are read off three columns with
+one entry per cover term: the plain part of its input cube, its output
+point as a word, y_j at bit j as ``BoolMap.evaluate`` packs it, and its
+free inputs.  Within the bound the cover is one functional leaf, and
+the engine hands over its points and words without making terms;
+above it the columns come from the cover's terms.  Injectivity counts
+the distinct words, and on a shortfall names the first repeated output,
+or else the first input cube with a free variable.  The complement is
+answered in output words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, submasks
-from .engine import EngineConfig, implicants
+from .engine import DEFAULT_BOUND, EngineConfig, _functional_scan, implicants
 
 #: Explicit complement-of-image points are materialized only when the output
 #: space has at most this many points.
@@ -151,32 +153,46 @@ def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSe
     return cover
 
 
+def _graph_columns(F: BoolMap, cfg: EngineConfig | None) -> tuple:
+    """Input point, output word and free inputs of each graph-cover term, in canonical order.
+
+    From the one functional leaf within the bound, where every input
+    outside the graph system's support is free; else from the terms.
+    """
+    sys = build_graph_system(F)
+    x_mask, n = F.x_universe, F.n_in
+    scan = _functional_scan(sys, cfg.base_bound_m if cfg else DEFAULT_BOUND)
+    if scan is not None:
+        points, words = scan
+        return points, words, repeat(x_mask & ~sys.support, len(points))
+    terms = graph_implicants(F, cfg).terms
+    frees = (x_mask & ~t.vars_mask for t in terms)  # read at most once
+    return [t.pos & x_mask for t in terms], [t.pos >> n for t in terms], frees
+
+
 def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
     """Count the distinct output points; on a shortfall, name a collision.
 
     Two terms sharing one output point have disjoint input cubes by
-    orthogonality, so their points collide; this pair wins.  Otherwise
-    an input cube with a free variable collides within itself.
+    orthogonality, so their points collide; the first repeated output
+    wins.  Otherwise an input cube with a free variable collides within
+    itself.
     """
-    x_mask, y_mask = F.x_universe, F.y_universe
-    first_x_by_y: dict[int, int] = {}
-    repeated = free_cube = None
-    for t in graph_implicants(F, cfg).terms:
-        y, x = t.pos & y_mask, t.pos & x_mask
-        if y not in first_x_by_y:
-            first_x_by_y[y] = x
-        elif repeated is None:
-            repeated = first_x_by_y[y], x
-        free = x_mask & ~t.vars_mask
-        if free and free_cube is None:
-            free_cube = x, x | (free & -free)
-    count = len(first_x_by_y)
+    points, words, frees = _graph_columns(F, cfg)
+    count = len(set(words))
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
-    pair = repeated or free_cube
+    first_x_by_y: dict[int, int] = {}
+    for x, y in zip(points, words):
+        if y in first_x_by_y:
+            pair = first_x_by_y[y], x
+            break
+        first_x_by_y[y] = x
+    else:
+        pair = next(((x, x | (free & -free)) for x, free in zip(points, frees) if free), None)
     if pair is None:
         raise RuntimeError("non-injective map without extractable witness")
-    witness = tuple(Assignment(x_mask, x) for x in pair)
+    witness = tuple(Assignment(F.x_universe, x) for x in pair)
     return Verdict(False, witness, count)
 
 
@@ -200,8 +216,8 @@ def is_one_to_one_general(F: BoolMap, cfg: EngineConfig | None = None) -> Verdic
 def _image_complement(
     F: BoolMap, cfg: EngineConfig | None, max_points: int
 ) -> ComplementResult:
-    n, m = F.n_in, F.m_out
-    words = {t.pos >> n for t in graph_implicants(F, cfg).terms}
+    m = F.m_out
+    words = set(_graph_columns(F, cfg)[1])
     if (1 << m) > max_points:
         row = f"0{m}b"
         image = tuple(sorted(words, key=lambda w: format(w, row)[::-1]))

@@ -216,6 +216,31 @@ def test_permpoly_honours_bound(capsys, monkeypatch, tmp_path):
         assert seen and set(seen) == {1}
 
 
+def test_map_verdicts_within_the_bound_make_no_leaf_terms(capsys, monkeypatch, tmp_path):
+    # within the bound the verdicts read the leaf's output words, made without terms
+    coords = random_map_coords(random.Random(10), 10, 10, max_degree=2)
+    names = tuple(f"x{i + 1}" for i in range(10)) + tuple(f"y{i + 1}" for i in range(10))
+    map10 = tmp_path / "map10.txt"
+    map10.write_text(format_problem(MapProblem(BoolMap.of(coords, 10), VarTable(names, 10))))
+    field = tmp_path / "f1024.txt"
+    field.write_text("field: n=10\npoly: X^7 + X^3\n")
+    calls = []
+    leaf = boolinv.engine.impl_for_simple
+
+    def spy(f, bound=boolinv.engine.DEFAULT_BOUND):
+        calls.append(bound)
+        return leaf(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", spy)
+    for command, path in (("invert", map10), ("goe", map10), ("permpoly", field)):
+        calls.clear()
+        expected = run(capsys, command, path)
+        assert expected[0] in (0, 1) and calls == [], command
+        got = run(capsys, command, path, "--bound", "2")
+        assert calls and set(calls) == {2}, command
+        assert got[:2] == expected[:2], command  # exit code and stdout
+
+
 def test_permpoly_exponent_past_int_string_limit_exits_2(capsys, tmp_path):
     path = tmp_path / "long.txt"
     path.write_text("field: n=4\npoly: X^" + "1" * 5000 + "\n")
@@ -424,6 +449,8 @@ def test_internal_errors_exit_2(capsys, monkeypatch, exc):
 
     monkeypatch.setattr(boolinv.maps, "implicants", broken)
     monkeypatch.setattr(boolinv.cli, "implicants", broken)
+    # the map verdict reads the cover's terms, not the leaf's words
+    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda sys, bound: None)
     # every MemoryError is reported by one fixed line, built after the handler
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     for command in ("invert", "implicants"):

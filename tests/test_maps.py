@@ -242,10 +242,11 @@ def test_graph_cover_output_parts_are_minterms_on_corpus():
 
 
 def _hand_made_cover(monkeypatch, F, *points):
-    """Make graph_implicants return one term per ``{var: bit}`` literal dict."""
+    """Make the verdict read one term per ``{var: bit}`` literal dict, not the leaf's words."""
     terms = tuple(Term.of(*lits.items()) for lits in points)
     cover = ImplicantSet(terms, F.x_universe | F.y_universe)
     monkeypatch.setattr(boolinv.maps, "graph_implicants", lambda F, cfg=None: cover)
+    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda sys, bound: None)
 
 
 def test_repeated_output_wins_over_an_earlier_free_cube(monkeypatch):

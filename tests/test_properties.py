@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,12 +12,25 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import boolinv.maps
 from boolinv import parsing
-from boolinv.algebra import Anf, BoolSystem, mask_of, submasks, vars_of
+from boolinv.algebra import Anf, Assignment, BoolSystem, mask_of, submasks, vars_of
 from boolinv.cli import _HANDLERS, _json, main
-from boolinv.engine import EngineConfig, _factor_tables, _leaf_scan, implicants
+from boolinv.engine import (
+    EngineConfig,
+    _factor_tables,
+    _functional_scan,
+    _leaf_scan,
+    implicants,
+)
 from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
-from boolinv.maps import BoolMap
+from boolinv.maps import (
+    DEFAULT_MAX_POINTS,
+    BoolMap,
+    _image_complement,
+    _one_to_one_verdict,
+    build_graph_system,
+)
 from boolinv.oracle import _orthogonality_violation, brute_image, brute_solutions
 from boolinv.parsing import (
     MapProblem,
@@ -30,6 +44,8 @@ from boolinv.parsing import (
     format_problem,
     parse_text,
 )
+
+from conftest import random_map_coords
 
 
 @st.composite
@@ -84,6 +100,55 @@ def test_complement_matches_oracle(problem):
             assert len(set(cubes)) == len(cubes) == (1 << m) - len(missing)
             for y in range(1 << m):
                 assert (y in points) == (y not in cubes)
+
+
+@st.composite
+def word_maps(draw):
+    """A map of 1..8 inputs and 1..n+4 outputs that may leave inputs unused.
+
+    Some inputs may be private and linear: a lone monomial of one
+    coordinate that no other coordinate reads.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, n + 4))
+    uni = mask_of(range(n))
+    used = draw(st.integers(0, uni))
+    coords = [
+        draw(st.lists(st.integers(0, uni).map(lambda mono: mono & used), max_size=6))
+        for _ in range(m)
+    ]
+    for v in vars_of(uni & ~used):
+        j = draw(st.integers(-1, m - 1))  # -1: x_v stays unused
+        if j >= 0:
+            coords[j].append(1 << v)
+    return BoolMap.of([Anf.from_monomials(c, uni) for c in coords], n)
+
+
+#: words of 32 and 64 bits, and of 70 bits, which are read one point at a time
+_WIDE_MAPS = [BoolMap.of(random_map_coords(random.Random(m), 6, m), 6) for m in (20, 40, 70)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(word_maps())
+@example(_WIDE_MAPS[0])
+@example(_WIDE_MAPS[1])
+@example(_WIDE_MAPS[2])
+def test_leaf_words_match_the_term_path(F):
+    sys = build_graph_system(F)
+    scan = _functional_scan(sys, 12)
+    assert scan is not None
+    points, words = scan
+    assert len(points) == len(words) == 1 << (sys.support & F.x_universe).bit_count()
+    assert list(words) == [F.evaluate(Assignment(F.x_universe, x)) for x in points]
+    k = sys.support.bit_count() - F.m_out  # scanned: the inputs the map reads
+    if k:
+        assert _functional_scan(sys, k - 1) is None
+    assert _functional_scan(sys, k) is not None
+    verdict = _one_to_one_verdict(F, None)
+    complement = _image_complement(F, None, DEFAULT_MAX_POINTS)
+    with mock.patch.object(boolinv.maps, "_functional_scan", lambda sys, bound: None):
+        assert _one_to_one_verdict(F, None) == verdict
+        assert _image_complement(F, None, DEFAULT_MAX_POINTS) == complement
 
 
 @st.composite
