@@ -51,8 +51,9 @@ def submasks(mask: int) -> list[int]:
     highest first, it is followed by a copy with that variable set.
     """
     out = [0]
-    for v in reversed(vars_of(mask)):
-        bit = 1 << v
+    while mask:
+        bit = 1 << (mask.bit_length() - 1)
+        mask ^= bit
         out += [p | bit for p in out]
     return out
 

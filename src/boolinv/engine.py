@@ -187,8 +187,8 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
 
     The latest answer is kept, and returned again for the same tuple
     object: ``_solve`` scans a branch to test it against the bound, and
-    its leaf then asks again.  It holds its factors until the next call
-    or the end of ``_solve``.
+    its leaf then asks again.  It holds its factors until the next call,
+    or until ``_solve`` or ``_functional_scan`` returns.
     """
     latest, answer = _latest_scan[0]
     if latest is factors:
@@ -286,7 +286,7 @@ def _functional_scan(sys: BoolSystem, bound: int) -> tuple[list[int], Sequence[i
     scanned, solved = _leaf_scan(factors)
     _latest_scan[0] = None, None
     k = scanned.bit_count()
-    if solved is None or k > min(bound, MAX_BOUND):
+    if solved is None or k > bound or k > MAX_BOUND:
         return None
     points, lo, index_bit = _scan_points(scanned, k)
     return points, _words(_solved_columns(factors, solved, points, lo, index_bit), len(points))
@@ -310,9 +310,8 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     support = f.support
     scanned, solved = _leaf_scan(factors)
     k = scanned.bit_count()
-    limit = min(bound, MAX_BOUND)
-    if k > limit:
-        raise BoundExceededError(k, limit)
+    if k > bound or k > MAX_BOUND:
+        raise BoundExceededError(k, min(bound, MAX_BOUND))
     points, lo, index_bit = _scan_points(scanned, k)  # trues of the scanned variables
     size = 1 << k
     essential = support
