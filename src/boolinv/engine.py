@@ -70,10 +70,10 @@ class EngineConfig:
     base_bound_m: int = DEFAULT_BOUND
 
     def __post_init__(self):
-        if self.base_bound_m < 1:
-            raise ValueError("base_bound_m must be at least 1")
-        if self.base_bound_m > MAX_BOUND:
-            raise ValueError(f"base_bound_m must be at most {MAX_BOUND}")
+        if not 1 <= self.base_bound_m <= MAX_BOUND:
+            raise ValueError(
+                f"bound must be at least 1 and at most {MAX_BOUND}, got {self.base_bound_m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,8 @@ class ClusterPlan:
     """Partition of factor indices chosen for one decomposition step.
 
     ``disjoint_factors`` have pairwise disjoint supports, each within the
-    enumeration bound, except when ``split_var`` is set: then no factor
-    fit the bound, the smallest is listed alone, and the recursion must
-    branch on ``split_var`` instead of enumerating.
+    enumeration bound.  When none fits, it is empty, every factor is
+    residual, and the step splits on ``split_var`` instead.
     """
 
     disjoint_factors: tuple[int, ...]
@@ -169,11 +168,6 @@ def _factor_tables(
     return moebius(coefficients, size.bit_length() - 1, (len(monomial_sets) - 1).bit_length())
 
 
-#: The factors of the latest ``_leaf_scan`` call and its answer, held as
-#: one pair so that it is read and replaced in one step.
-_latest_scan: list = [(None, None)]
-
-
 def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
     """The variables a leaf scan enumerates, and each factor's solved variable.
 
@@ -184,15 +178,8 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
     highest-indexed private-linear variable is the factor's solved one.
     When every factor has one, the scan skips the solved variables;
     otherwise it runs over the whole support and the tuple is None.
-
-    The latest answer is kept, and returned again for the same tuple
-    object: ``_solve`` scans a branch to test it against the bound, and
-    its leaf then asks again.  It holds its factors until the next call,
-    or until ``_solve`` or ``_functional_scan`` returns.
+    The scanned and solved variables together are the support.
     """
-    latest, answer = _latest_scan[0]
-    if latest is factors:
-        return answer
     seen = shared = 0
     for h in factors:
         shared |= seen & h.support
@@ -211,9 +198,7 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
         p = private.bit_length() - 1
         solved.append(p)
         scanned ^= 1 << p
-    answer = scanned, solved if solved is None else tuple(solved)
-    _latest_scan[0] = factors, answer
-    return answer
+    return scanned, solved if solved is None else tuple(solved)
 
 
 def _scan_points(scanned: int, k: int) -> tuple[list[int], int | None, dict[int, int] | None]:
@@ -284,7 +269,6 @@ def _functional_scan(sys: BoolSystem, bound: int) -> tuple[list[int], Sequence[i
     """
     factors = sys.factors
     scanned, solved = _leaf_scan(factors)
-    _latest_scan[0] = None, None
     k = scanned.bit_count()
     if solved is None or k > bound or k > MAX_BOUND:
         return None
@@ -307,19 +291,19 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     read off its own factor, and every support variable is essential.
     """
     factors = f.factors if isinstance(f, BoolSystem) else (f,)
-    support = f.support
     scanned, solved = _leaf_scan(factors)
     k = scanned.bit_count()
     if k > bound or k > MAX_BOUND:
         raise BoundExceededError(k, min(bound, MAX_BOUND))
     points, lo, index_bit = _scan_points(scanned, k)  # trues of the scanned variables
     size = 1 << k
-    essential = support
+    essential = scanned
     if solved is not None:
         trues = points
         columns = _solved_columns(factors, solved, points, lo, index_bit)
         for p, column in zip(solved, columns):
             bit = 1 << p
+            essential |= bit
             digits = format(column, f"0{size}b")[::-1]  # character i: p at point i
             trues = [t | bit if c == "1" else t for t, c in zip(trues, digits)]
     else:
@@ -357,9 +341,9 @@ def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
 
     Factors are scanned by (support size, index).  A factor is admitted
     when it fits the bound and shares no variable with those already
-    admitted.  If nothing fits the bound at all, the smallest factor is
-    returned alone with a Shannon split variable: the variable occurring
-    in the most factors (lowest index on ties).
+    admitted.  If nothing fits the bound at all, the plan is a Shannon
+    split with every factor residual, on the variable occurring in the
+    most factors (lowest index on ties).
     """
     if not sys.factors:
         raise ValueError("cannot plan an empty factor list")
@@ -372,14 +356,12 @@ def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
             admitted.append(i)
             taken |= s
     if not admitted:
-        smallest = order[0]
         counts: dict[int, int] = {}
         for h in sys.factors:
             for v in vars_of(h.support):
                 counts[v] = counts.get(v, 0) + 1
         split = min(counts, key=lambda v: (-counts[v], v))
-        rest = tuple(i for i in range(len(sys.factors)) if i != smallest)
-        return ClusterPlan((smallest,), rest, split_var=split)
+        return ClusterPlan((), tuple(range(len(sys.factors))), split_var=split)
     packed = set(admitted)
     rest = tuple(i for i in range(len(sys.factors)) if i not in packed)
     return ClusterPlan(tuple(admitted), rest)
@@ -469,10 +451,11 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     A branch is a seed cube, as its ``pos`` and ``neg`` masks, and the
     system cofactored by it, which no longer mentions the seed's
     variables, so no product is a contradiction.  The entry branches are
-    made live here.  A step either scans its branch as one leaf, or
-    crosses the covers of its plan starting from its own seed: those of
-    the packed factors, or for a Shannon split the two literals of the
-    split variable, with every factor residual.  After each cover only
+    made live here.  A branch is one leaf when its support is within the
+    bound; a wider one still is when the functional scan ``_leaf_scan``
+    finds is.  Any other step crosses the covers of its plan starting
+    from its own seed: those of the packed factors, or for a Shannon
+    split the two literals of the split variable.  After each cover only
     the residual factors sharing a variable with it are cofactored, and
     a branch is dropped as soon as one of them is 0 or two single-literal
     cofactors clash.  A dropped branch has an unsatisfiable residual, so
@@ -488,7 +471,7 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     while stack:
         pos, neg, sys = stack.pop()
         factors = sys.factors
-        if _leaf_scan(factors)[0].bit_count() <= bound:
+        if sys.support.bit_count() <= bound or _leaf_scan(factors)[0].bit_count() <= bound:
             leaves += 1
             terms = impl_for_simple(sys, bound).terms
             if pos | neg:
@@ -498,7 +481,7 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
             continue
         plan = select_disjoint_clusters(sys, cfg)
         split = plan.split_var
-        residual = plan.residual if split is None else range(len(factors))
+        residual = plan.residual
         occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
         if residual:
             factor_vars = [vars_of(h.support) for h in factors]
@@ -533,7 +516,6 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
             (pos, neg, BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
             for pos, neg, res in partial
         ]
-    _latest_scan[0] = None, None
     if leaves > 1:
         out.sort(key=Term.sort_key)
     return out

@@ -425,6 +425,14 @@ def test_bound_beyond_cap_exits_2_at_once(capsys):
     assert run(capsys, "invert", SHIFT, "--bound", "20")[0] == 0
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_bound_below_one_names_the_bound(capsys, bound):
+    code, out, err = run(capsys, "invert", SHIFT, "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bound must be at least 1 and at most 20, got {bound}\n"
+
+
 class _UnprintableMemoryError(MemoryError):
     """Stands in for an allocation that fails while the error is reported."""
 

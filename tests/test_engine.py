@@ -1,9 +1,11 @@
 """Implicant engine: base case, clustering, splitting, pruning, determinism."""
 
+import gc
 import itertools
 import json
 import random
 import time
+import weakref
 
 import pytest
 
@@ -222,14 +224,18 @@ def test_live_keeps_a_system_without_constant_factors():
     assert _live(BoolSystem((Anf.one(uni),), uni)) == BoolSystem((), uni)
 
 
-def test_leaf_scan_answers_the_same_factors_once():
+@pytest.mark.parametrize("solve", [impl_for_simple, implicants])
+def test_a_solved_system_keeps_no_reference_to_its_factors(solve):
     uni = mask_of([X1, X2, X3])
-    factors = (Anf.variable(X1, uni) ^ Anf.variable(X3, uni), Anf.variable(X2, uni))
-    scan = _leaf_scan(factors)
-    assert scan == (1 << X1, (X3, X2))
-    assert _leaf_scan(factors) is scan  # kept for the same tuple
-    other = _leaf_scan(tuple(list(factors)))  # an equal tuple is scanned anew
-    assert other == scan and other is not scan
+    f = Anf.variable(X1, uni) ^ Anf.variable(X3, uni)
+    factor = weakref.ref(f)
+    sys = BoolSystem((f, Anf.variable(X2, uni)), uni)
+    assert _leaf_scan(sys.factors) == (1 << X1, (X3, X2))  # one functional scan over X1
+    cover = solve(sys)
+    assert cover.terms == (Term.of((X1, 0), (X2, 1), (X3, 1)), Term.of((X1, 1), (X2, 1), (X3, 0)))
+    del f, sys
+    gc.collect()
+    assert factor() is None
 
 
 def test_select_prefers_small_disjoint_supports():
@@ -260,8 +266,8 @@ def test_select_flags_split_when_nothing_fits():
     g = mk(X2) ^ mk(X3) ^ mk(X4)
     sys = BoolSystem.of([f, g], universe=uni)
     plan = select_disjoint_clusters(sys, EngineConfig(base_bound_m=2))
-    assert plan.disjoint_factors == (0,)
-    assert plan.residual == (1,)
+    assert plan.disjoint_factors == ()
+    assert plan.residual == (0, 1)  # a split cofactors every factor
     # x2 and x3 occur twice; tie broken toward the lower index
     assert plan.split_var == X2
 
@@ -376,7 +382,7 @@ def test_disjoint_product_law():
 
 
 def test_engine_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bound must be at least 1 and at most 20, got 0$"):
         EngineConfig(base_bound_m=0)
     assert EngineConfig(base_bound_m=MAX_BOUND).base_bound_m == MAX_BOUND
     with pytest.raises(ValueError, match="at most"):
