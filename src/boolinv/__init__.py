@@ -39,19 +39,6 @@ from .gf2n import (
     coordinate_functions,
     is_permutation_polynomial,
 )
-from .oracle import (
-    OrthogonalityError,
-    TruthTable,
-    ValidationReport,
-    brute_image,
-    brute_image_count,
-    brute_injective,
-    brute_solutions,
-    is_implicant,
-    og_sum_is_tautology,
-    solution_count,
-    validate_implicant_set,
-)
 from .parsing import (
     MapProblem,
     ParseError,
@@ -64,6 +51,30 @@ from .parsing import (
 )
 
 __version__ = "0.1.0"
+
+#: The brute-force referee's names, resolved from ``boolinv.oracle`` on first
+#: access so that importing the solver does not load it.
+_ORACLE_NAMES = (
+    "OrthogonalityError",
+    "TruthTable",
+    "ValidationReport",
+    "brute_image",
+    "brute_image_count",
+    "brute_injective",
+    "brute_solutions",
+    "is_implicant",
+    "og_sum_is_tautology",
+    "solution_count",
+    "validate_implicant_set",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Anf",

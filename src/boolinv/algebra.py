@@ -9,7 +9,7 @@ and the oracle build their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -58,20 +58,67 @@ def submasks(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Value:
+    """Base of the immutable value classes.
+
+    A subclass's fields are its annotated attributes, in order, after
+    those of its bases.  It lists them in ``__slots__`` and sets each
+    once in ``__init__`` with ``self._set(name, value)``; no attribute can
+    be assigned or deleted afterwards.  Equality compares the fields of
+    two instances of the same class, the hash is the hash of the field
+    tuple, and the repr names every field.  A slot that is not a field,
+    such as a value derived from the fields, takes no part in these.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _set = object.__setattr__  # bound to an instance, it bypasses __setattr__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        get = attrgetter(*fields)
+        # the field tuple, also for a class of one field
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return other is self or self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Assignment(Value):
     """Total assignment of bits to the variables in ``universe``.
 
     ``trues`` holds the variables set to 1; it must be a subset of the
     universe mask.
     """
 
+    __slots__ = ("universe", "trues")
     universe: int
     trues: int
 
-    def __post_init__(self):
-        if self.trues & ~self.universe:
+    def __init__(self, universe: int, trues: int):
+        if trues & ~universe:
             raise ValueError("assignment sets variables outside its universe")
+        self._set("universe", universe)
+        self._set("trues", trues)
 
     @classmethod
     def from_values(cls, values: dict[int, int]) -> "Assignment":
@@ -89,20 +136,22 @@ class Assignment:
             yield v, (self.trues >> v) & 1
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     """Conjunction of literals (a cube): ``pos`` plain, ``neg`` complemented.
 
     The empty term (pos == neg == 0) is the constant 1.  At most one
     literal per variable: pos & neg == 0.
     """
 
-    pos: int = 0
-    neg: int = 0
+    __slots__ = ("pos", "neg")
+    pos: int
+    neg: int
 
-    def __post_init__(self):
-        if self.pos & self.neg:
+    def __init__(self, pos: int = 0, neg: int = 0):
+        if pos & neg:
             raise ValueError("variable with both polarities in one term")
+        self._set("pos", pos)
+        self._set("neg", neg)
 
     @classmethod
     def of(cls, *literals: tuple[int, int]) -> "Term":
@@ -174,8 +223,7 @@ def _sorted_monomial(mask: int) -> tuple:
 _ONE = frozenset((0,))  # monomials of the constant 1
 
 
-@dataclass(frozen=True)
-class Anf:
+class Anf(Value):
     """Boolean function in algebraic normal form.
 
     ``monomials`` is a set of variable bitmasks XORed together; the empty
@@ -185,17 +233,19 @@ class Anf:
     construction and is not a field.
     """
 
+    __slots__ = ("monomials", "universe", "support", "__weakref__")
     monomials: frozenset[int]
     universe: int
 
-    def __post_init__(self):
+    def __init__(self, monomials: frozenset[int], universe: int):
         support = 0
-        for m in self.monomials:
+        for m in monomials:
             support |= m
-        if support & ~self.universe:
+        if support & ~universe:
             raise ValueError("monomial uses a variable outside the universe")
-        # not a field, so equality and hashing still see only the polynomial
-        object.__setattr__(self, "support", support)
+        self._set("monomials", monomials)
+        self._set("universe", universe)
+        self._set("support", support)
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[int], universe: int | None = None) -> "Anf":
@@ -286,20 +336,27 @@ class Anf:
         return Anf(frozenset(acc), self.universe & ~t.vars_mask)
 
 
-@dataclass(frozen=True)
-class BoolSystem:
+class BoolSystem(Value):
     """Constraint set ``h_1 * h_2 * ... * h_k = 1`` over a declared universe.
 
-    An equation f = 0 enters as the factor h = f + 1.
+    An equation f = 0 enters as the factor h = f + 1.  ``support``, the
+    mask of the variables the factors use, is computed once on
+    construction and is not a field.
     """
 
+    __slots__ = ("factors", "universe", "support")
     factors: tuple[Anf, ...]
     universe: int
 
-    def __post_init__(self):
-        for h in self.factors:
-            if h.support & ~self.universe:
-                raise ValueError("factor uses a variable outside the system universe")
+    def __init__(self, factors: tuple[Anf, ...], universe: int):
+        support = 0
+        for h in factors:
+            support |= h.support
+        if support & ~universe:
+            raise ValueError("factor uses a variable outside the system universe")
+        self._set("factors", factors)
+        self._set("universe", universe)
+        self._set("support", support)
 
     @classmethod
     def of(cls, factors: Iterable[Anf], universe: int | None = None) -> "BoolSystem":
@@ -309,13 +366,6 @@ class BoolSystem:
             for h in fs:
                 universe |= h.support
         return cls(fs, universe)
-
-    @property
-    def support(self) -> int:
-        s = 0
-        for h in self.factors:
-            s |= h.support
-        return s
 
     def ratio(self, t: Term) -> "BoolSystem":
         """Cofactor every factor by the term; universe loses the fixed variables."""
@@ -327,16 +377,20 @@ class BoolSystem:
         return all(h.evaluate(a) == 1 for h in self.factors)
 
 
-@dataclass(frozen=True)
-class ImplicantSet:
+class ImplicantSet(Value):
     """A family of terms covering a system's solution set.
 
     Producers guarantee the cover is complete and pairwise orthogonal;
     the audits in ``oracle`` check it.
     """
 
+    __slots__ = ("terms", "universe")
     terms: tuple[Term, ...]
     universe: int
+
+    def __init__(self, terms: tuple[Term, ...], universe: int):
+        self._set("terms", terms)
+        self._set("universe", universe)
 
     def __len__(self) -> int:
         return len(self.terms)

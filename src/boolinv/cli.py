@@ -35,7 +35,6 @@ from .maps import (
     unique_solution,
 )
 from .collision import is_one_to_one_diagonal
-from .oracle import brute_image_count, brute_injective, brute_solutions
 from .gf2n import MAX_ORACLE_TERM_POINTS, check_term_points, is_permutation_polynomial
 from .parsing import (
     MapProblem,
@@ -321,6 +320,9 @@ def _enum_cap_bits(max_enum: int) -> int:
 
 
 def _run_oracle(problem: Problem, args, cfg: EngineConfig):
+    # the referee is loaded only for its own command
+    from .oracle import brute_image_count, brute_injective, brute_solutions
+
     cap = _enum_cap_bits(args.max_enum)
     if isinstance(problem, MapProblem):
         F, table = problem.map, problem.table

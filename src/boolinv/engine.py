@@ -37,12 +37,11 @@ them once, so output order is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from sys import byteorder
 from typing import Iterable, Sequence
 
-from .algebra import Anf, BoolSystem, ImplicantSet, Term, submasks, vars_of
+from .algebra import Anf, BoolSystem, ImplicantSet, Term, Value, submasks, vars_of
 
 #: Largest number of variables one leaf scan enumerates.
 DEFAULT_BOUND = 12
@@ -63,21 +62,21 @@ class BoundExceededError(ValueError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Value):
     """Solver knobs: the most variables one leaf scan enumerates."""
 
-    base_bound_m: int = DEFAULT_BOUND
+    __slots__ = ("base_bound_m",)
+    base_bound_m: int
 
-    def __post_init__(self):
-        if not 1 <= self.base_bound_m <= MAX_BOUND:
+    def __init__(self, base_bound_m: int = DEFAULT_BOUND):
+        if not 1 <= base_bound_m <= MAX_BOUND:
             raise ValueError(
-                f"bound must be at least 1 and at most {MAX_BOUND}, got {self.base_bound_m}"
+                f"bound must be at least 1 and at most {MAX_BOUND}, got {base_bound_m}"
             )
+        self._set("base_bound_m", base_bound_m)
 
 
-@dataclass(frozen=True)
-class ClusterPlan:
+class ClusterPlan(Value):
     """Partition of factor indices chosen for one decomposition step.
 
     ``disjoint_factors`` have pairwise disjoint supports, each within the
@@ -85,9 +84,20 @@ class ClusterPlan:
     residual, and the step splits on ``split_var`` instead.
     """
 
+    __slots__ = ("disjoint_factors", "residual", "split_var")
     disjoint_factors: tuple[int, ...]
     residual: tuple[int, ...]
-    split_var: int | None = None
+    split_var: int | None
+
+    def __init__(
+        self,
+        disjoint_factors: tuple[int, ...],
+        residual: tuple[int, ...],
+        split_var: int | None = None,
+    ):
+        self._set("disjoint_factors", disjoint_factors)
+        self._set("residual", residual)
+        self._set("split_var", split_var)
 
 
 @lru_cache(maxsize=None)

@@ -20,11 +20,10 @@ for the values; this module does not import the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .algebra import Anf, mask_of
+from .algebra import Anf, Value, mask_of
 from .engine import EngineConfig, moebius
 from .maps import BoolMap, is_invertible_square
 
@@ -81,20 +80,20 @@ def _is_irreducible(m: int, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """Degree and monic irreducible modulus of one binary field."""
 
+    __slots__ = ("n", "modulus")
     n: int
     modulus: int
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEGREE:
+    def __init__(self, n: int, modulus: int):
+        if not 1 <= n <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")
-        if not _is_irreducible(self.modulus, self.n):
-            raise ValueError(
-                f"modulus {self.modulus:#b} is not irreducible of degree {self.n}"
-            )
+        if not _is_irreducible(modulus, n):
+            raise ValueError(f"modulus {modulus:#b} is not irreducible of degree {n}")
+        self._set("n", n)
+        self._set("modulus", modulus)
 
     @classmethod
     def default(cls, n: int) -> "FieldSpec":
@@ -115,16 +114,18 @@ class FieldSpec:
         return FieldElem(self, 1)
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(Value):
     """Packed basis coefficients; arithmetic is mod the field's modulus."""
 
+    __slots__ = ("spec", "value")
     spec: FieldSpec
     value: int
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.spec.order:
-            raise ValueError(f"value {self.value} outside the field of {self.spec.order}")
+    def __init__(self, spec: FieldSpec, value: int):
+        if not 0 <= value < spec.order:
+            raise ValueError(f"value {value} outside the field of {spec.order}")
+        self._set("spec", spec)
+        self._set("value", value)
 
     def _check(self, other: "FieldElem") -> None:
         if self.spec != other.spec:
@@ -167,26 +168,27 @@ def _default_spec(n: int) -> FieldSpec:
     raise AssertionError("unreachable: irreducibles exist for every degree")
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(Value):
     """Univariate polynomial; coefficient index = exponent.
 
-    ``terms``, the nonzero ``(exponent, coefficient)`` pairs in rising
-    exponent, is computed once on construction and is not a field.
+    Trailing zero coefficients are dropped.  ``terms``, the nonzero
+    ``(exponent, coefficient)`` pairs in rising exponent, is computed
+    once on construction and is not a field.
     """
 
+    __slots__ = ("spec", "coefficients", "terms")
     spec: FieldSpec
     coefficients: tuple[FieldElem, ...]
 
-    def __post_init__(self):
-        for c in self.coefficients:
-            if c.spec != self.spec:
+    def __init__(self, spec: FieldSpec, coefficients: tuple[FieldElem, ...]):
+        for c in coefficients:
+            if c.spec != spec:
                 raise ValueError("coefficient from a different field")
-        terms = tuple((e, c) for e, c in enumerate(self.coefficients) if not c.is_zero)
+        terms = tuple((e, c) for e, c in enumerate(coefficients) if not c.is_zero)
         degree = terms[-1][0] if terms else -1
-        object.__setattr__(self, "coefficients", self.coefficients[: degree + 1])
-        # not a field, so equality and hashing still see only the coefficients
-        object.__setattr__(self, "terms", terms)
+        self._set("spec", spec)
+        self._set("coefficients", coefficients[: degree + 1])
+        self._set("terms", terms)
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "UniPoly":

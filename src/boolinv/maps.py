@@ -18,11 +18,10 @@ answered in output words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, submasks
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Value, submasks
 from .engine import DEFAULT_BOUND, EngineConfig, _functional_scan, implicants
 
 #: Explicit complement-of-image points are materialized only when the output
@@ -43,16 +42,20 @@ class NonSquareMapError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class BoolMap:
-    """Tuple of coordinate functions over inputs 0..n_in-1."""
+class BoolMap(Value):
+    """Tuple of coordinate functions over inputs 0..n_in-1.
 
+    Each coordinate is stored over the input universe.
+    """
+
+    __slots__ = ("coords", "n_in")
     coords: tuple[Anf, ...]
     n_in: int
 
-    def __post_init__(self):
-        normalized = tuple(f.with_universe(self.x_universe) for f in self.coords)
-        object.__setattr__(self, "coords", normalized)
+    def __init__(self, coords: tuple[Anf, ...], n_in: int):
+        x_universe = (1 << n_in) - 1
+        self._set("coords", tuple(f.with_universe(x_universe) for f in coords))
+        self._set("n_in", n_in)
 
     @classmethod
     def of(cls, coords, n_in: int) -> "BoolMap":
@@ -78,17 +81,25 @@ class BoolMap:
         return y
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Injectivity decision with a colliding input pair when negative."""
 
+    __slots__ = ("one_to_one", "witness", "y_minterm_count")
     one_to_one: bool
     witness: tuple[Assignment, Assignment] | None
     y_minterm_count: int | None
 
-    def __post_init__(self):
-        if self.one_to_one == (self.witness is not None):
+    def __init__(
+        self,
+        one_to_one: bool,
+        witness: tuple[Assignment, Assignment] | None,
+        y_minterm_count: int | None,
+    ):
+        if one_to_one == (witness is not None):
             raise ValueError("witness must be present exactly when not one-to-one")
+        self._set("one_to_one", one_to_one)
+        self._set("witness", witness)
+        self._set("y_minterm_count", y_minterm_count)
 
 
 class Uniqueness(Enum):
@@ -97,18 +108,19 @@ class Uniqueness(Enum):
     MULTIPLE = "multiple"
 
 
-@dataclass(frozen=True)
-class UniqueSolutionResult:
+class UniqueSolutionResult(Value):
+    __slots__ = ("status", "assignment")
     status: Uniqueness
-    assignment: Assignment | None = None
+    assignment: Assignment | None
 
-    def __post_init__(self):
-        if (self.status is Uniqueness.UNIQUE) == (self.assignment is None):
+    def __init__(self, status: Uniqueness, assignment: Assignment | None = None):
+        if (status is Uniqueness.UNIQUE) == (assignment is None):
             raise ValueError("assignment must accompany UNIQUE and only UNIQUE")
+        self._set("status", status)
+        self._set("assignment", assignment)
 
 
-@dataclass(frozen=True)
-class ComplementResult:
+class ComplementResult(Value):
     """Outputs with no preimage: explicit points plus the image minterms.
 
     Both are output words packed as ``BoolMap.evaluate`` packs them,
@@ -120,9 +132,15 @@ class ComplementResult:
     always available.
     """
 
+    __slots__ = ("size", "image", "points")
     size: int
     image: tuple[int, ...]
     points: tuple[int, ...] | None
+
+    def __init__(self, size: int, image: tuple[int, ...], points: tuple[int, ...] | None):
+        self._set("size", size)
+        self._set("image", image)
+        self._set("points", points)
 
     @property
     def is_empty(self) -> bool:

@@ -14,11 +14,10 @@ build none: they use cofactors, literal masks and point counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, vars_of
+from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, Value, vars_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .maps import BoolMap
@@ -47,12 +46,16 @@ def point_assignment(universe: int, index: int) -> Assignment:
     return Assignment(universe, _point_trues(universe, index))
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Value):
     """Dense 2**n-entry table packed into one integer."""
 
+    __slots__ = ("bits", "universe")
     bits: int
     universe: int
+
+    def __init__(self, bits: int, universe: int):
+        self._set("bits", bits)
+        self._set("universe", universe)
 
     @property
     def size(self) -> int:
@@ -127,16 +130,32 @@ class TruthTable:
             bits ^= low
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     """Outcome of exhaustively auditing an implicant cover."""
 
+    __slots__ = ("sound", "orthogonal", "complete", "unsound_term", "overlap", "missing_point")
     sound: bool
     orthogonal: bool
     complete: bool
-    unsound_term: tuple[int, Assignment] | None = None
-    overlap: tuple[int, int, Assignment] | None = None
-    missing_point: Assignment | None = None
+    unsound_term: tuple[int, Assignment] | None
+    overlap: tuple[int, int, Assignment] | None
+    missing_point: Assignment | None
+
+    def __init__(
+        self,
+        sound: bool,
+        orthogonal: bool,
+        complete: bool,
+        unsound_term: tuple[int, Assignment] | None = None,
+        overlap: tuple[int, int, Assignment] | None = None,
+        missing_point: Assignment | None = None,
+    ):
+        self._set("sound", sound)
+        self._set("orthogonal", orthogonal)
+        self._set("complete", complete)
+        self._set("unsound_term", unsound_term)
+        self._set("overlap", overlap)
+        self._set("missing_point", missing_point)
 
     @property
     def ok(self) -> bool:

@@ -15,10 +15,9 @@ so a polynomial never holds more than 2^n coefficients.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
-from .algebra import Anf, Assignment, BoolSystem, Term, vars_of
+from .algebra import Anf, Assignment, BoolSystem, Term, Value, vars_of
 from .gf2n import FieldSpec, UniPoly
 from .maps import BoolMap
 
@@ -32,12 +31,16 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class VarTable:
+class VarTable(Value):
     """Declared variable names; ids are positions, inputs first."""
 
+    __slots__ = ("names", "n_in")
     names: tuple[str, ...]
     n_in: int
+
+    def __init__(self, names: tuple[str, ...], n_in: int):
+        self._set("names", names)
+        self._set("n_in", n_in)
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -51,22 +54,34 @@ class VarTable:
         return self.names[var]
 
 
-@dataclass(frozen=True)
-class MapProblem:
+class MapProblem(Value):
+    __slots__ = ("map", "table")
     map: BoolMap
     table: VarTable
 
+    def __init__(self, map: BoolMap, table: VarTable):
+        self._set("map", map)
+        self._set("table", table)
 
-@dataclass(frozen=True)
-class SystemProblem:
+
+class SystemProblem(Value):
+    __slots__ = ("system", "table")
     system: BoolSystem
     table: VarTable
 
+    def __init__(self, system: BoolSystem, table: VarTable):
+        self._set("system", system)
+        self._set("table", table)
 
-@dataclass(frozen=True)
-class PolyProblem:
+
+class PolyProblem(Value):
+    __slots__ = ("poly", "spec")
     poly: UniPoly
     spec: FieldSpec
+
+    def __init__(self, poly: UniPoly, spec: FieldSpec):
+        self._set("poly", poly)
+        self._set("spec", spec)
 
 
 Problem = Union[MapProblem, SystemProblem, PolyProblem]

@@ -570,6 +570,30 @@ def test_every_exported_name_resolves():
     ]
 
 
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from boolinv import *", namespace)
+    assert [name for name in boolinv.__all__ if name not in namespace] == []
+    assert all(namespace[name] is getattr(boolinv, name) for name in boolinv.__all__)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_oracle(capsys):
+    # -S: no site hook imports anything first; the oracle loads on first use
+    probe = (
+        "import sys, boolinv.cli\n"
+        "print(sorted({'dataclasses', 'boolinv.oracle'} & sys.modules.keys()))\n"
+        "print(boolinv.brute_image.__module__)\n"
+        "sys.exit(boolinv.cli.main(['oracle', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, QUAD], capture_output=True, text=True, env=CHILD_ENV
+    )
+    code, out, _ = run(capsys, "oracle", QUAD)
+    assert proc.stdout.splitlines()[:2] == ["[]", "boolinv.oracle"]
+    assert code == 1
+    assert (proc.returncode, proc.stdout.split("\n", 2)[2]) == (code, out)
+
+
 def _bindings() -> dict:
     """Every attribute of the boolinv modules and of the classes the tracer patches."""
     from boolinv.algebra import Anf, Term
