@@ -76,6 +76,7 @@ def __getattr__(name: str):
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 __all__ = [
     "Anf",
     "Assignment",
