@@ -17,10 +17,9 @@ The leaf is bit-sliced: each factor over a scan of k variables becomes
 a 2**k-bit truth table held in one integer.  Each monomial sets its bit
 of a coefficient table, and the k shift-and-XOR steps of the Moebius
 transform turn that into the truth table; ``gf2n`` runs the same
-transform the other way.  Usually the scan is the whole support: the
-coefficient tables of the factors lie side by side in one integer, up
-to 2**12 bits of them, so one transform serves them all, and the truth
-tables are ANDed and the satisfying minterms read off the set bits.
+transform the other way.  Usually the scan is the whole support: each
+factor's table is transformed on its own and ANDed into the leaf's as
+it comes, and the satisfying minterms are read off the set bits.
 When every factor has a variable of its own that occurs in
 it only as a lone monomial, as each y_j does in the graph factor
 f_j(X) + y_j + 1, the factor fixes that variable as a function of the
@@ -115,7 +114,7 @@ def _index_patterns(k: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def moebius(bits: int, n: int, copies: int = 0) -> int:
+def moebius(bits: int, n: int) -> int:
     """Binary Moebius transform of a table over 2**n points; it is its own inverse.
 
     Bit i of ``bits`` is the value at point i.  Read as a truth table it
@@ -123,59 +122,46 @@ def moebius(bits: int, n: int, copies: int = 0) -> int:
     coefficient of the monomial whose variables are the set bits of i.
     Read as a coefficient table it gives the truth table.  Each step XORs
     the half with index bit b clear into the half with it set, all points
-    at once.  ``bits`` may hold up to 2**copies tables side by side, table
-    j from bit j * 2**n up; the same n steps transform each of them.
+    at once.
     """
     shift = 1
-    for pattern in _index_patterns(n + copies)[:n]:  # periodic in 2**n bits
+    for pattern in _index_patterns(n):
         bits ^= (bits << shift) & pattern
         shift <<= 1
     return bits
 
 
-#: Factor tables transformed together hold at most 2**_PACK_BITS bits in
-#: all.  Wider packs would save few steps, each already costly in big-integer
-#: work, and ``_index_patterns`` would cache wider patterns than a leaf at
-#: the default bound needs.
-_PACK_BITS = 12
-
-
-def _factor_tables(
-    monomial_sets: list[Iterable[int]],
+def _factor_table(
+    monomials: Iterable[int],
     points: list[int],
     lo: int | None,
     index_bit: dict[int, int] | None,
 ) -> int:
-    """Truth tables over the points of a leaf scan of the XOR of each monomial set.
+    """Truth table over the points of a leaf scan of the XOR of ``monomials``.
 
     ``points[i]`` holds the scanned variables true at point i, as
-    ``submasks`` lists them, and every monomial is one of them.  Table j
-    sits from bit j * len(points) up.  Its coefficient table has bit i set
-    when ``points[i]`` is a monomial of set j, and one Moebius transform
-    turns all the coefficient tables into truth tables at once.  When the
-    scan is the run of variables from ``lo`` up, the point order reverses
-    the run's bits, and reversal undoes itself, so monomial m sits at
+    ``submasks`` lists them, and every monomial is one of them.  The
+    coefficient table has bit i set when ``points[i]`` is a monomial, and
+    one Moebius transform turns it into the truth table.  When the scan
+    is the run of variables from ``lo`` up, the point order reverses the
+    run's bits, and reversal undoes itself, so monomial m sits at
     ``points[m >> lo] >> lo``.  Any other scan (``lo`` None) has
     ``index_bit``, the bit of the point index of each scanned variable's
     bit, and m sits at the OR of those of its variables.
     """
-    size = len(points)
     coefficients = 0
-    base = 0
-    for monomials in monomial_sets:
-        if lo is not None:
-            for m in monomials:
-                coefficients |= 1 << (base + (points[m >> lo] >> lo))
-        else:
-            for m in monomials:
-                i = base
-                while m:
-                    low = m & -m
-                    i |= index_bit[low]
-                    m ^= low
-                coefficients |= 1 << i
-        base += size
-    return moebius(coefficients, size.bit_length() - 1, (len(monomial_sets) - 1).bit_length())
+    if lo is not None:
+        for m in monomials:
+            coefficients |= 1 << (points[m >> lo] >> lo)
+    else:
+        for m in monomials:
+            i = 0
+            while m:
+                low = m & -m
+                i |= index_bit[low]
+                m ^= low
+            coefficients |= 1 << i
+    return moebius(coefficients, len(points).bit_length() - 1)
 
 
 def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
@@ -212,7 +198,7 @@ def _leaf_scan(factors: tuple[Anf, ...]) -> tuple[int, tuple[int, ...] | None]:
 
 
 def _scan_points(scanned: int, k: int) -> tuple[list[int], int | None, dict[int, int] | None]:
-    """The points of a scan of the k variables of ``scanned``, and ``_factor_tables``' placement."""
+    """The points of a scan of the k variables of ``scanned``, and ``_factor_table``'s placement."""
     lo, index_bit = scanned.bit_length() - k, None
     if scanned >> lo != (1 << k) - 1:  # the scanned variables are not one run
         lo = None
@@ -230,14 +216,13 @@ def _solved_columns(
     """Each factor's solved variable as a table over the points of a functional scan.
 
     Bit i of table j is the value of ``solved[j]`` at ``points[i]``: one
-    plus the rest of factor j.  Each table is read on its own, and such a
-    leaf has mostly one factor, so each factor has its own transform.
+    plus the rest of factor j.
     """
     ones = (1 << len(points)) - 1
-    columns = []
-    for h, p in zip(factors, solved):
-        columns.append(_factor_tables([h.monomials - {1 << p}], points, lo, index_bit) ^ ones)
-    return columns
+    return [
+        _factor_table(h.monomials - {1 << p}, points, lo, index_bit) ^ ones
+        for h, p in zip(factors, solved)
+    ]
 
 
 #: ``memoryview.cast`` format of the native unsigned integer of each width.
@@ -318,12 +303,8 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
             trues = [t | bit if c == "1" else t for t, c in zip(trues, digits)]
     else:
         table = (1 << size) - 1
-        per_pack = 1 << max(_PACK_BITS - k, 0)
-        for first in range(0, len(factors), per_pack):
-            pack = factors[first : first + per_pack]
-            tables = _factor_tables([h.monomials for h in pack], points, lo, index_bit)
-            for j in range(len(pack)):
-                table &= tables >> (j * size)
+        for h in factors:
+            table &= _factor_table(h.monomials, points, lo, index_bit)
             if not table:
                 return ImplicantSet((), 0)
         patterns = _index_patterns(k)
@@ -444,40 +425,35 @@ def _cofactor_near(
     return out
 
 
-def _live(sys: BoolSystem) -> BoolSystem | None:
-    """The system without its constant-1 factors; None when a factor is 0."""
-    factors = tuple(h for h in sys.factors if not h.is_one)
-    for h in factors:
-        if h.is_zero:
-            return None
-    if len(factors) == len(sys.factors):
-        return sys
-    return BoolSystem(factors, sys.universe)
-
-
 def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -> list[Term]:
     """Each seed ANDed with each cover term of the system under it.
 
     A branch is a seed cube, as its ``pos`` and ``neg`` masks, and the
     system cofactored by it, which no longer mentions the seed's
-    variables, so no product is a contradiction.  The entry branches are
-    made live here.  A branch is one leaf when its support is within the
-    bound; a wider one still is when the functional scan ``_leaf_scan``
-    finds is.  Any other step crosses the covers of its plan starting
-    from its own seed: those of the packed factors, or for a Shannon
-    split the two literals of the split variable.  After each cover only
-    the residual factors sharing a variable with it are cofactored, and
-    a branch is dropped as soon as one of them is 0 or two single-literal
-    cofactors clash.  A dropped branch has an unsatisfiable residual, so
-    the cover is the one the full product of the crossed covers gives.
-    The live branches go straight on the stack.  Terms come in canonical
-    order: one leaf scan makes its terms so, and the terms of more than
-    one leaf are sorted once at the end.
+    variables, so no product is a contradiction.  A branch is one leaf
+    when its support is within the bound; a wider one still is when the
+    functional scan ``_leaf_scan`` finds is.  A constant-1 factor has no
+    solved variable, so the entry branches drop theirs, as
+    ``_cofactor_near`` does for every later branch; a 0 factor needs no
+    check, since a leaf's table or a packed cover of it is empty.  Any
+    other step crosses the covers of its plan starting from its own seed:
+    those of the packed factors, or for a Shannon split the two literals
+    of the split variable.  After each cover only the residual factors
+    sharing a variable with it are cofactored, and a branch is dropped as
+    soon as one of them is 0 or two single-literal cofactors clash.  A
+    dropped branch has an unsatisfiable residual, so the cover is the one
+    the full product of the crossed covers gives.  The live branches go
+    straight on the stack.  Terms come in canonical order: one leaf scan
+    makes its terms so, and the terms of more than one leaf are sorted
+    once at the end.
     """
     bound = cfg.base_bound_m
     out: list[Term] = []
     leaves = 0
-    stack = [(pos, neg, live) for pos, neg, sys in branches if (live := _live(sys)) is not None]
+    stack = [
+        (pos, neg, BoolSystem(tuple(h for h in sys.factors if not h.is_one), sys.universe))
+        for pos, neg, sys in branches
+    ]
     while stack:
         pos, neg, sys = stack.pop()
         factors = sys.factors

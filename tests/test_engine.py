@@ -21,7 +21,6 @@ from boolinv.engine import (
     ClusterPlan,
     EngineConfig,
     _leaf_scan,
-    _live,
     compose_product,
     impl_for_simple,
     implicants,
@@ -182,15 +181,11 @@ def test_impl_for_simple_matches_pointwise_scan(monkeypatch):
         sorted_scans += scanned >> min(solved) > 0  # a scanned variable above a solved one
         systems += [list(graph.factors), list(renumbered.factors)]
     assert sorted_scans > 0
-    expected = [_pointwise_minterms(tuple(factors)) for factors in systems]
-    # with packs of 2**7 bits, an ANDed leaf over k < 7 variables with more
-    # than 2**(7 - k) factors takes several transforms of several tables
-    for pack_bits in (boolinv.engine._PACK_BITS, 7):
-        monkeypatch.setattr(boolinv.engine, "_PACK_BITS", pack_bits)
-        for factors, minterms in zip(systems, expected):
-            assert impl_for_simple(BoolSystem.of(factors)) == minterms  # terms and their order
-            if len(factors) == 1:
-                assert impl_for_simple(factors[0]) == minterms
+    for factors in systems:
+        minterms = _pointwise_minterms(tuple(factors))
+        assert impl_for_simple(BoolSystem.of(factors)) == minterms  # terms and their order
+        if len(factors) == 1:
+            assert impl_for_simple(factors[0]) == minterms
 
     leaves = []  # a graph system within the bound is one scan over its inputs
 
@@ -214,14 +209,25 @@ def test_impl_for_simple_leaves_inessential_variables_free():
     assert s == _pointwise_minterms((x_or_y, x))
 
 
-def test_live_keeps_a_system_without_constant_factors():
-    uni = mask_of([X1, X2, X3])
-    x, y = Anf.variable(X1, uni), Anf.variable(X2, uni)
-    sys = BoolSystem((x, y), uni)
-    assert _live(sys) is sys
-    assert _live(BoolSystem((x, Anf.one(uni), y), uni)) == sys
-    assert _live(BoolSystem((x, Anf.zero(uni)), uni)) is None
-    assert _live(BoolSystem((Anf.one(uni),), uni)) == BoolSystem((), uni)
+def test_a_constant_one_factor_leaves_a_wide_functional_system_one_leaf(monkeypatch):
+    graph = build_graph_system(BoolMap.of(random_map_coords(random.Random(20), 6, 10), 6))
+    uni = graph.universe
+    assert graph.support.bit_count() > boolinv.engine.DEFAULT_BOUND  # one leaf only when functional
+    with_one = BoolSystem(graph.factors[:3] + (Anf.one(uni),) + graph.factors[3:], uni)
+    with_zero = BoolSystem(with_one.factors + (Anf.zero(uni),), uni)
+    cover = implicants(graph)
+    leaves = []
+
+    def counting_leaf(f, bound=boolinv.engine.DEFAULT_BOUND):
+        leaves.append(f)
+        return impl_for_simple(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", counting_leaf)
+    assert implicants(with_one) == cover
+    assert len(leaves) == 1
+    assert implicants(with_zero) == ImplicantSet((), uni)
+    seed = ImplicantSet((Term(0, 1), Term(1, 0)), 1)  # x0' and x0
+    assert compose_product(seed, with_one) == compose_product(seed, graph)
 
 
 @pytest.mark.parametrize("solve", [impl_for_simple, implicants])

@@ -18,7 +18,7 @@ from boolinv.algebra import Anf, Assignment, BoolSystem, mask_of, submasks, vars
 from boolinv.cli import _HANDLERS, _json, main
 from boolinv.engine import (
     EngineConfig,
-    _factor_tables,
+    _factor_table,
     _functional_scan,
     _leaf_scan,
     implicants,
@@ -172,8 +172,17 @@ def systems(draw):
     return BoolSystem(tuple(factors), uni)
 
 
+@st.composite
+def systems_with_constants(draw):
+    """A system of ``systems()`` plus, at times, zero and constant-one factors, in any order."""
+    sys = draw(systems())
+    uni = sys.universe
+    extra = draw(st.lists(st.sampled_from((Anf.zero(uni), Anf.one(uni))), max_size=2))
+    return BoolSystem(tuple(draw(st.permutations(sys.factors + tuple(extra)))), uni)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(systems(), st.integers(1, 12))
+@given(systems_with_constants(), st.integers(1, 12))
 def test_implicants_match_oracle_at_any_bound(sys, bound):
     cover = implicants(sys, EngineConfig(base_bound_m=bound))
     points = {m.pos for t in cover.terms for m in t.expand(sys.universe)}
@@ -186,10 +195,10 @@ def test_implicants_match_oracle_at_any_bound(sys, bound):
 
 @st.composite
 def leaf_scans(draw):
-    """Scanned variables, one to five sets of monomials over them, and the run's first variable.
+    """Scanned variables, a set of monomials over them, and the run's first variable.
 
     The k <= 12 variables run from 0, run from an offset, or leave gaps
-    (the first variable is then None).  Each set is a few of the 2**k
+    (the first variable is then None).  The set is a few of the 2**k
     submasks, or any set of them.
     """
     k = draw(st.integers(0, 12))
@@ -207,12 +216,10 @@ def leaf_scans(draw):
             lambda bits: {i for i in range(1 << k) if bits >> i & 1}
         ),
     )
-    monomial_sets = [
-        frozenset(mask_of(v for j, v in enumerate(vs) if i >> j & 1) for i in indices)
-        for indices in draw(st.lists(index_sets, min_size=1, max_size=5))
-    ]
+    indices = draw(index_sets)
+    monomials = frozenset(mask_of(v for j, v in enumerate(vs) if i >> j & 1) for i in indices)
     run_start = None if kind == "gapped" and k >= 2 else lo
-    return scanned, run_start, monomial_sets
+    return scanned, run_start, monomials
 
 
 def _and_chain_table(monomials: frozenset, scanned: int) -> int:
@@ -239,29 +246,23 @@ def _and_chain_table(monomials: frozenset, scanned: int) -> int:
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(leaf_scans())
 def test_factor_tables_match_the_and_chain(scan):
-    scanned, run_start, monomial_sets = scan
+    scanned, run_start, monomials = scan
     points = submasks(scanned)
     vs = vars_of(scanned)
     index_bit = {1 << v: 1 << (len(vs) - 1 - j) for j, v in enumerate(vs)}
-    expected = sum(  # table j from bit j * 2**k up
-        _and_chain_table(monomials, scanned) << (j * len(points))
-        for j, monomials in enumerate(monomial_sets)
-    )
-    assert _factor_tables(monomial_sets, points, None, index_bit) == expected  # any scan
+    expected = _and_chain_table(monomials, scanned)
+    assert _factor_table(monomials, points, None, index_bit) == expected  # any scan
     if run_start is not None:  # a run of variables places each monomial directly
-        assert _factor_tables(monomial_sets, points, run_start, None) == expected
+        assert _factor_table(monomials, points, run_start, None) == expected
 
 
 @st.composite
 def system_problems(draw):
-    """A system of ``systems()`` plus, at times, zero and constant-one factors."""
-    sys = draw(systems())
-    uni = sys.universe
-    extra = draw(st.lists(st.sampled_from((Anf.zero(uni), Anf.one(uni))), max_size=2))
-    factors = draw(st.permutations(sys.factors + tuple(extra)))
-    n = uni.bit_length()
+    """A system of ``systems_with_constants()`` with variables named x1, x2, ..."""
+    sys = draw(systems_with_constants())
+    n = sys.universe.bit_length()
     names = tuple(f"x{i + 1}" for i in range(n))
-    return SystemProblem(BoolSystem(tuple(factors), uni), VarTable(names, n))
+    return SystemProblem(sys, VarTable(names, n))
 
 
 @st.composite
