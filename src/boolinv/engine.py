@@ -29,7 +29,10 @@ table.  So the graph system of a map with n inputs is one scan of 2**n
 points, whatever its number of outputs, and the bound counts scanned
 variables, not the support.  Such a scan need not make terms at all:
 ``_functional_scan`` transposes the solved variables' tables into one
-output word per point, which is all that the map verdicts read.
+output word per point, which is all that the map verdicts read.  Past
+the bound it scans in chunks, one per point of the lowest scanned
+variables, and gives the same points and words in the same order, so
+the map verdicts do not depend on the bound.
 The decomposition collects its terms unordered and the top level sorts
 them once, so output order is canonical.
 """
@@ -40,7 +43,7 @@ from functools import lru_cache
 from sys import byteorder
 from typing import Iterable, Sequence
 
-from .algebra import Anf, BoolSystem, ImplicantSet, Term, Value, submasks, vars_of
+from .algebra import Anf, BoolSystem, ImplicantSet, Term, Value, mask_of, submasks, vars_of
 
 #: Largest number of variables one leaf scan enumerates.
 DEFAULT_BOUND = 12
@@ -252,23 +255,49 @@ def _words(columns: list[int], size: int) -> Sequence[int]:
 
 
 def _functional_scan(sys: BoolSystem, bound: int) -> tuple[list[int], Sequence[int]] | None:
-    """The points of the one functional leaf that decides ``sys``, and each point's word.
+    """Every point of the scanned variables of ``sys``, and each point's word.
 
-    None unless every factor has a solved variable (see ``_leaf_scan``)
-    and the scan of the others is within ``bound``.  Word i packs the
-    solved values at ``points[i]``, factor j's at bit j; for a graph
-    system that is ``BoolMap.evaluate`` at the point.  The points come in
-    the scan's order, which is the canonical term order when every solved
-    variable follows every scanned one, as in a graph system.  No ``Term``
-    is made: the scan's terms are each point with its solved values.
+    None unless every factor has a solved variable (see ``_leaf_scan``).
+    Word i packs the solved values at ``points[i]``, factor j's at bit j;
+    for a graph system that is ``BoolMap.evaluate`` at the point.  The
+    points come in the scan's order, which is the canonical term order
+    when every solved variable follows every scanned one, as in a graph
+    system.  No ``Term`` is made: the scan's terms are each point with
+    its solved values.
+
+    Past ``bound`` the scan runs in chunks: for each point of the lowest
+    scanned variables past the bound, in canonical order, the others are
+    scanned in the factors cofactored by it, which keeps every solved
+    variable private-linear.  Those seed variables are the most
+    significant digits of the point order, so the chunks give the points
+    and words of one scan, element for element.  The cofactors are made
+    one seed variable at a time on a stack, so chunks share those of
+    their common prefix.
     """
     factors = sys.factors
     scanned, solved = _leaf_scan(factors)
-    k = scanned.bit_count()
-    if solved is None or k > bound or k > MAX_BOUND:
+    if solved is None:
         return None
-    points, lo, index_bit = _scan_points(scanned, k)
-    return points, _words(_solved_columns(factors, solved, points, lo, index_bit), len(points))
+    seed_vars = vars_of(scanned)[: max(0, scanned.bit_count() - min(bound, MAX_BOUND))]
+    rest = scanned & ~mask_of(seed_vars)
+    points, lo, index_bit = _scan_points(rest, rest.bit_count())
+    if not seed_vars:
+        return points, _words(_solved_columns(factors, solved, points, lo, index_bit), len(points))
+    all_points: list[int] = []
+    all_words: list[int] = []
+    stack = [(0, 0, factors)]  # seed variables fixed, their true ones, the cofactors
+    while stack:
+        depth, seed, fs = stack.pop()
+        if depth == len(seed_vars):
+            all_points += [seed | p for p in points]
+            all_words += _words(_solved_columns(fs, solved, points, lo, index_bit), len(points))
+            continue
+        bit = 1 << seed_vars[depth]
+        for t in (Term(bit, 0), Term(0, bit)):  # the 0 branch is popped first
+            stack.append(
+                (depth + 1, seed | t.pos, tuple(h.ratio(t) if h.support & bit else h for h in fs))
+            )
+    return all_points, all_words
 
 
 def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
@@ -440,9 +469,10 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     those of the packed factors, or for a Shannon split the two literals
     of the split variable.  After each cover only the residual factors
     sharing a variable with it are cofactored, and a branch is dropped as
-    soon as one of them is 0 or two single-literal cofactors clash.  A
-    dropped branch has an unsatisfiable residual, so the cover is the one
-    the full product of the crossed covers gives.  The live branches go
+    soon as one of them is 0 or two single-literal cofactors clash; once
+    every branch is dropped, no further cover is solved.  A dropped
+    branch has an unsatisfiable residual, so the cover is the one the
+    full product of the crossed covers gives.  The live branches go
     straight on the stack.  Terms come in canonical order: one leaf scan
     makes its terms so, and the terms of more than one leaf are sorted
     once at the end.
@@ -498,6 +528,8 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
                 for t in terms
                 if (sub := _cofactor_near(res, near_i, t, occurs)) is not None
             ]
+            if not partial:
+                break
         stack += [
             (pos, neg, BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
             for pos, neg, res in partial

@@ -8,18 +8,20 @@ r_i(X)·s_i(Y), an input cube times one output point.  Injectivity, the
 image and the complement of the image are read off three columns with
 one entry per cover term: the plain part of its input cube, its output
 point as a word, y_j at bit j as ``BoolMap.evaluate`` packs it, and its
-free inputs.  Within the bound the cover is one functional leaf, and
-the engine hands over its points and words without making terms;
-above it the columns come from the cover's terms.  Injectivity counts
-the distinct words, and on a shortfall names the first repeated output,
-or else the first input cube with a free variable.  The complement is
-answered in output words.
+free inputs.  At every bound the cover is the functional scan of the
+graph system, in chunks when the map reads more inputs than the bound,
+and the engine hands over its points and words without making terms;
+the inputs the map does not read are free in every term.  Injectivity
+counts the distinct words, and on a shortfall names the first repeated
+output, or else the first input cube with a free variable.  The
+complement is answered in output words.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress
+from typing import Sequence
 
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Value, submasks
 from .engine import DEFAULT_BOUND, EngineConfig, _functional_scan, implicants
@@ -171,21 +173,16 @@ def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSe
     return cover
 
 
-def _graph_columns(F: BoolMap, cfg: EngineConfig | None) -> tuple:
-    """Input point, output word and free inputs of each graph-cover term, in canonical order.
+def _graph_columns(F: BoolMap, cfg: EngineConfig | None) -> tuple[list[int], Sequence[int], int]:
+    """Input point and output word of each graph-cover term in canonical order, and the free inputs.
 
-    From the one functional leaf within the bound, where every input
-    outside the graph system's support is free; else from the terms.
+    The cover is the functional scan of the graph system, in chunks past
+    the bound; every input outside the system's support is free in
+    every term.
     """
     sys = build_graph_system(F)
-    x_mask, n = F.x_universe, F.n_in
-    scan = _functional_scan(sys, cfg.base_bound_m if cfg else DEFAULT_BOUND)
-    if scan is not None:
-        points, words = scan
-        return points, words, repeat(x_mask & ~sys.support, len(points))
-    terms = graph_implicants(F, cfg).terms
-    frees = (x_mask & ~t.vars_mask for t in terms)  # read at most once
-    return [t.pos & x_mask for t in terms], [t.pos >> n for t in terms], frees
+    points, words = _functional_scan(sys, cfg.base_bound_m if cfg else DEFAULT_BOUND)
+    return points, words, F.x_universe & ~sys.support
 
 
 def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
@@ -193,10 +190,10 @@ def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
 
     Two terms sharing one output point have disjoint input cubes by
     orthogonality, so their points collide; the first repeated output
-    wins.  Otherwise an input cube with a free variable collides within
-    itself.
+    wins.  Otherwise, when the map ignores an input, the first cube
+    collides within itself on its lowest free input.
     """
-    points, words, frees = _graph_columns(F, cfg)
+    points, words, free = _graph_columns(F, cfg)
     count = len(set(words))
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
@@ -207,7 +204,7 @@ def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
             break
         first_x_by_y[y] = x
     else:
-        pair = next(((x, x | (free & -free)) for x, free in zip(points, frees) if free), None)
+        pair = (points[0], points[0] | (free & -free)) if free else None
     if pair is None:
         raise RuntimeError("non-injective map without extractable witness")
     witness = tuple(Assignment(F.x_universe, x) for x in pair)

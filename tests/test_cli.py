@@ -23,7 +23,7 @@ from boolinv.maps import BoolMap
 from boolinv.oracle import brute_image
 from boolinv.parsing import MapProblem, VarTable, format_problem, parse_file
 
-from conftest import random_map_coords
+from conftest import random_map_coords, random_permutation_coords
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -197,48 +197,66 @@ def test_permpoly_huge_exponent_agrees_with_oracle(capsys, tmp_path):
     assert doc["poly"] == "X^11 + 3"  # the echo shows the folded exponent
 
 
+def _spy_on_scans(monkeypatch):
+    """The width of each scan ``engine._functional_scan`` makes, and every leaf that makes terms."""
+    widths, leaves = [], []
+    scan_points = boolinv.engine._scan_points
+    leaf = boolinv.engine.impl_for_simple
+
+    def scan_spy(scanned, k):
+        widths.append(k)
+        return scan_points(scanned, k)
+
+    def leaf_spy(f, bound=boolinv.engine.DEFAULT_BOUND):
+        leaves.append(bound)
+        return leaf(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "_scan_points", scan_spy)
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", leaf_spy)
+    return widths, leaves
+
+
 def test_permpoly_honours_bound(capsys, monkeypatch, tmp_path):
     path = tmp_path / "f64.txt"
-    seen = []
-    leaf = boolinv.engine.impl_for_simple
-
-    def spy(f, bound=boolinv.engine.DEFAULT_BOUND):
-        seen.append(bound)
-        return leaf(f, bound)
-
-    monkeypatch.setattr(boolinv.engine, "impl_for_simple", spy)
+    widths, leaves = _spy_on_scans(monkeypatch)
     for poly, permutes in (("X^5", True), ("X^3 + X", False)):
         path.write_text(f"field: n=6\npoly: {poly}\n")
+        widths.clear()
         code, doc = run_json(capsys, "permpoly", path)
         assert (code, doc["permutation"]) == (0 if permutes else 1, permutes)
-        seen.clear()
-        assert run_json(capsys, "permpoly", path, "--bound", "1") == (code, doc)
-        assert seen and set(seen) == {1}
+        assert widths == [6]
+        for bound in (1, 2):
+            widths.clear()
+            assert run_json(capsys, "permpoly", path, "--bound", str(bound)) == (code, doc)
+            assert widths == [bound]  # 2^(6 - bound) chunks of one width
+    assert leaves == []
 
 
-def test_map_verdicts_within_the_bound_make_no_leaf_terms(capsys, monkeypatch, tmp_path):
-    # within the bound the verdicts read the leaf's output words, made without terms
-    coords = random_map_coords(random.Random(10), 10, 10, max_degree=2)
-    names = tuple(f"x{i + 1}" for i in range(10)) + tuple(f"y{i + 1}" for i in range(10))
-    map10 = tmp_path / "map10.txt"
-    map10.write_text(format_problem(MapProblem(BoolMap.of(coords, 10), VarTable(names, 10))))
+def test_map_verdicts_make_no_leaf_terms_at_any_bound(capsys, monkeypatch, tmp_path):
+    # at every bound the verdicts read the scan's output words, made without terms
+    def write_map(name, coords, n):
+        names = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
+        path = tmp_path / name
+        path.write_text(format_problem(MapProblem(BoolMap.of(coords, n), VarTable(names, n))))
+        return path
+
+    map10 = write_map("map10.txt", random_map_coords(random.Random(10), 10, 10, max_degree=2), 10)
+    perm14 = write_map("perm14.txt", random_permutation_coords(random.Random(14), 14), 14)
     field = tmp_path / "f1024.txt"
     field.write_text("field: n=10\npoly: X^7 + X^3\n")
-    calls = []
-    leaf = boolinv.engine.impl_for_simple
-
-    def spy(f, bound=boolinv.engine.DEFAULT_BOUND):
-        calls.append(bound)
-        return leaf(f, bound)
-
-    monkeypatch.setattr(boolinv.engine, "impl_for_simple", spy)
-    for command, path in (("invert", map10), ("goe", map10), ("permpoly", field)):
-        calls.clear()
+    widths, leaves = _spy_on_scans(monkeypatch)
+    cases = (("invert", map10, 10), ("goe", map10, 10), ("permpoly", field, 10), ("invert", perm14, 14))
+    for command, path, n in cases:
+        widths.clear()
         expected = run(capsys, command, path)
-        assert expected[0] in (0, 1) and calls == [], command
-        got = run(capsys, command, path, "--bound", "2")
-        assert calls and set(calls) == {2}, command
-        assert got[:2] == expected[:2], command  # exit code and stdout
+        assert expected[0] in (0, 1), command
+        assert widths == [min(n, boolinv.engine.DEFAULT_BOUND)], command
+        for bound in (2, 20):
+            widths.clear()
+            got = run(capsys, command, path, "--bound", str(bound))
+            assert widths == [min(n, bound)], (command, bound)
+            assert got[:2] == expected[:2], (command, bound)  # exit code and stdout
+    assert leaves == []
 
 
 def test_permpoly_exponent_past_int_string_limit_exits_2(capsys, tmp_path):
@@ -455,10 +473,8 @@ def test_internal_errors_exit_2(capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(boolinv.maps, "implicants", broken)
+    monkeypatch.setattr(boolinv.maps, "_functional_scan", broken)
     monkeypatch.setattr(boolinv.cli, "implicants", broken)
-    # the map verdict reads the cover's terms, not the leaf's words
-    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda sys, bound: None)
     # every MemoryError is reported by one fixed line, built after the handler
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     for command in ("invert", "implicants"):

@@ -465,6 +465,23 @@ def test_pruned_cross_matches_product_cross(monkeypatch):
     assert 0 < empty < len(systems) * 3  # satisfiable and unsatisfiable cases both occur
 
 
+def test_a_dead_cross_solves_no_further_cover(monkeypatch):
+    # x_i + x_(i+1) = 1 over 30 variables, with the factors x0 and x0 + 1
+    uni = mask_of(range(30))
+    x = [Anf.variable(v, uni) for v in range(30)]
+    sys = BoolSystem(tuple(x[i] ^ x[i + 1] for i in range(29)) + (x[0], ~x[0]), uni)
+    leaves = []
+
+    def counting_leaf(f, bound=boolinv.engine.DEFAULT_BOUND):
+        leaves.append(f)
+        return impl_for_simple(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", counting_leaf)
+    assert implicants(sys, EngineConfig(4)) == ImplicantSet((), uni)
+    # the cross starts from x0, whose one term makes x0 + 1 zero: no other packed factor is solved
+    assert leaves == [x[0]]
+
+
 def _ladder(n: int) -> BoolSystem:
     """Two chains a (0..n/2-1) and b (n/2..n-1) joined by rungs a_i + b_i = 1, a_0 = 1."""
     half = n // 2

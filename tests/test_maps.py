@@ -241,54 +241,37 @@ def test_graph_cover_output_parts_are_minterms_on_corpus():
                 assert F.evaluate(Assignment(F.x_universe, x.pos)) == t.pos >> n
 
 
-def _hand_made_cover(monkeypatch, F, *points):
-    """Make the verdict read one term per ``{var: bit}`` literal dict, not the leaf's words."""
-    terms = tuple(Term.of(*lits.items()) for lits in points)
-    cover = ImplicantSet(terms, F.x_universe | F.y_universe)
-    monkeypatch.setattr(boolinv.maps, "graph_implicants", lambda F, cfg=None: cover)
-    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda sys, bound: None)
+def test_repeated_output_wins_over_an_earlier_free_cube():
+    # x3 is free in every cube, the first one included; x1 x2 repeats the output 0
+    uni = mask_of(range(3))
+    x1, x2 = Anf.variable(0, uni), Anf.variable(1, uni)
+    F = BoolMap.of([x1 * x2, Anf.zero(uni), Anf.zero(uni)], 3)
+    for bound in (1, 12):
+        v = is_one_to_one_general(F, EngineConfig(bound))
+        assert not v.one_to_one
+        assert v.y_minterm_count == 2
+        assert [a.trues for a in v.witness] == [0b000, 0b010]  # x2 = 1 repeats x = 0
+        assert all(a.universe == F.x_universe for a in v.witness)
 
 
-def test_repeated_output_wins_over_an_earlier_free_cube(monkeypatch):
-    F = identity_map(2)  # x1, x2 are vars 0, 1; y1, y2 are vars 2, 3
-    _hand_made_cover(
-        monkeypatch,
-        F,
-        {0: 0, 2: 0, 3: 0},  # x2 free, listed first
-        {0: 1, 1: 0, 2: 1, 3: 0},
-        {0: 1, 1: 1, 2: 1, 3: 0},  # same output as the term before
-    )
-    v = is_one_to_one_general(F)
-    assert not v.one_to_one
-    assert v.y_minterm_count == 2
-    assert [a.trues for a in v.witness] == [0b01, 0b11]
-    assert all(a.universe == F.x_universe for a in v.witness)
-
-
-def test_free_cube_witness_sets_its_lowest_free_input(monkeypatch):
-    F = identity_map(3)
-    _hand_made_cover(
-        monkeypatch,
-        F,
-        {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0},
-        {1: 1, 3: 1, 4: 0, 5: 0},  # x1 and x3 free
-        {2: 1, 3: 0, 4: 1, 5: 0},  # x1 and x2 free
-    )
-    v = is_one_to_one_general(F)
-    assert not v.one_to_one
-    assert v.y_minterm_count == 3
-    assert [a.trues for a in v.witness] == [0b010, 0b011]
+def test_free_cube_witness_sets_its_lowest_free_input():
+    # x2 and x3 are free; the outputs are distinct on the inputs the map reads
+    uni = mask_of(range(4))
+    x1, x4 = Anf.variable(0, uni), Anf.variable(3, uni)
+    F = BoolMap.of([x1, x4, x1 ^ x4, Anf.zero(uni)], 4)
+    for bound in (1, 12):
+        v = is_one_to_one_general(F, EngineConfig(bound))
+        assert not v.one_to_one
+        assert v.y_minterm_count == 4
+        assert [a.trues for a in v.witness] == [0b0000, 0b0010]
+        assert all(a.universe == F.x_universe for a in v.witness)
 
 
 def test_missing_outputs_without_a_collision_is_an_engine_defect(monkeypatch):
+    # a scan that misses the point x1 x2 = 11 of a map that reads both inputs
     F = identity_map(2)
-    _hand_made_cover(
-        monkeypatch,
-        F,
-        {0: 0, 1: 0, 2: 0, 3: 0},
-        {0: 1, 1: 0, 2: 1, 3: 0},
-        {0: 0, 1: 1, 2: 0, 3: 1},
-    )
+    scan = ([0b00, 0b01, 0b10], [0b00, 0b01, 0b10])
+    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda sys, bound: scan)
     with pytest.raises(RuntimeError, match="without extractable witness"):
         is_invertible_square(F)
 

@@ -12,11 +12,11 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import boolinv.maps
 from boolinv import parsing
 from boolinv.algebra import Anf, Assignment, BoolSystem, mask_of, submasks, vars_of
 from boolinv.cli import _HANDLERS, _json, main
 from boolinv.engine import (
+    MAX_BOUND,
     EngineConfig,
     _factor_table,
     _functional_scan,
@@ -31,7 +31,12 @@ from boolinv.maps import (
     _one_to_one_verdict,
     build_graph_system,
 )
-from boolinv.oracle import _orthogonality_violation, brute_image, brute_solutions
+from boolinv.oracle import (
+    _orthogonality_violation,
+    brute_image,
+    brute_injective,
+    brute_solutions,
+)
 from boolinv.parsing import (
     MapProblem,
     ParseError,
@@ -65,11 +70,17 @@ def maps(draw, narrow=False):
     return MapProblem(BoolMap.of(coords, n), VarTable(names, n))
 
 
-def _run_json(*argv) -> tuple[int, dict]:
+def _run_bytes(*argv) -> tuple[int, str]:
+    """Exit code and stdout of one JSON run of the command line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, "--format", "json"])
-    return code, json.loads(out.getvalue())
+    return code, out.getvalue()
+
+
+def _run_json(*argv) -> tuple[int, dict]:
+    code, out = _run_bytes(*argv)
+    return code, json.loads(out)
 
 
 def _cube_point(cube: str, outputs: list[str]) -> int:
@@ -133,22 +144,32 @@ _WIDE_MAPS = [BoolMap.of(random_map_coords(random.Random(m), 6, m), 6) for m in 
 @example(_WIDE_MAPS[0])
 @example(_WIDE_MAPS[1])
 @example(_WIDE_MAPS[2])
-def test_leaf_words_match_the_term_path(F):
+def test_leaf_words_are_the_same_at_every_bound(F):
     sys = build_graph_system(F)
-    scan = _functional_scan(sys, 12)
-    assert scan is not None
-    points, words = scan
-    assert len(points) == len(words) == 1 << (sys.support & F.x_universe).bit_count()
+    read = sys.support & F.x_universe  # scanned: the inputs the map reads
+    k = read.bit_count()
+    points, words = _functional_scan(sys, k)
+    assert points == submasks(read)
     assert list(words) == [F.evaluate(Assignment(F.x_universe, x)) for x in points]
-    k = sys.support.bit_count() - F.m_out  # scanned: the inputs the map reads
-    if k:
-        assert _functional_scan(sys, k - 1) is None
-    assert _functional_scan(sys, k) is not None
     verdict = _one_to_one_verdict(F, None)
+    injective, _ = brute_injective(F)
+    assert verdict.one_to_one == injective
+    if not injective:
+        a, b = verdict.witness
+        assert a != b and F.evaluate(a) == F.evaluate(b)
+    image = brute_image(F)
+    assert verdict.y_minterm_count == len(image)
     complement = _image_complement(F, None, DEFAULT_MAX_POINTS)
-    with mock.patch.object(boolinv.maps, "_functional_scan", lambda sys, bound: None):
-        assert _one_to_one_verdict(F, None) == verdict
-        assert _image_complement(F, None, DEFAULT_MAX_POINTS) == complement
+    assert set(complement.image) == image and len(complement.image) == len(image)
+    assert complement.size == (1 << F.m_out) - len(image)
+    if complement.points is not None:
+        assert set(complement.points) == set(range(1 << F.m_out)) - image
+    for bound in range(1, k + 1):  # chunks of every width
+        chunked = _functional_scan(sys, bound)
+        assert chunked[0] == points and list(chunked[1]) == list(words), bound
+        cfg = EngineConfig(bound)
+        assert _one_to_one_verdict(F, cfg) == verdict, bound
+        assert _image_complement(F, cfg, DEFAULT_MAX_POINTS) == complement, bound
 
 
 @st.composite
@@ -308,6 +329,29 @@ def test_exit_code_is_1_only_on_a_decided_negative(problem, bound):
                 doc.get(k) is False for k in ("one_to_one", "permutation", "injective")
             )
             assert code == (1 if negative else 0), (command, doc)
+
+
+def _map_problem(F: BoolMap) -> MapProblem:
+    names = tuple(f"x{i + 1}" for i in range(F.n_in)) + tuple(f"y{j + 1}" for j in range(F.m_out))
+    return MapProblem(F, VarTable(names, F.n_in))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.one_of(word_maps().map(_map_problem), poly_problems(max_degree=40)))
+def test_map_commands_print_the_same_bytes_at_every_bound(problem):
+    if isinstance(problem, PolyProblem):
+        commands = ["permpoly"]
+    else:
+        n, m = problem.map.n_in, problem.map.m_out
+        commands = ["one2one"] + ["invert", "goe"] * (m == n) + ["coi"] * (m >= n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.txt"
+        path.write_text(format_problem(problem))
+        for command in commands:
+            expected = _run_bytes(command, str(path))
+            assert expected[0] in (0, 1), command
+            for bound in range(1, MAX_BOUND + 1):
+                assert _run_bytes(command, str(path), "--bound", str(bound)) == expected, bound
 
 
 _FIXTURES = tuple(
