@@ -27,9 +27,9 @@ from .maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
     Uniqueness,
-    build_graph_system,
     coi,
     goe,
+    graph_implicants,
     is_invertible_square,
     is_one_to_one_general,
     unique_solution,
@@ -196,13 +196,12 @@ def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:
 
 def _run_implicants(problem: Problem, args, cfg: EngineConfig):
     if isinstance(problem, MapProblem):
-        sys_ = build_graph_system(problem.map)
+        cover = graph_implicants(problem.map, cfg)
     elif isinstance(problem, SystemProblem):
-        sys_ = problem.system
+        cover = implicants(problem.system, cfg)
     else:
         raise ValueError("implicants expects a map or system file")
     table = problem.table
-    cover = implicants(sys_, cfg)
     terms = [format_term(t, table) for t in cover.terms]
     body = {
         "variables": list(table.names),

@@ -27,12 +27,13 @@ others.  The scan then runs over the other variables only, every point
 is a solution, and each solved variable is read off its own factor's
 table.  So the graph system of a map with n inputs is one scan of 2**n
 points, whatever its number of outputs, and the bound counts scanned
-variables, not the support.  Such a scan need not make terms at all:
-``_functional_scan`` transposes the solved variables' tables into one
-output word per point, which is all that the map verdicts read.  Past
-the bound it scans in chunks, one per point of the lowest scanned
-variables, and gives the same points and words in the same order, so
-the map verdicts do not depend on the bound.
+variables, not the support.  The map verdicts need no terms at all.
+The solved columns of a graph system are the truth tables of the map's
+coordinates, so ``_functional_scan`` scans the coordinates themselves
+and transposes their tables into one output word per point.  Past the
+bound it scans in chunks, one per point of the lowest read variables,
+and gives the same words in the same order, so the map verdicts do not
+depend on the bound.
 The decomposition collects its terms unordered and the top level sorts
 them once, so output order is canonical.
 """
@@ -209,25 +210,6 @@ def _scan_points(scanned: int, k: int) -> tuple[list[int], int | None, dict[int,
     return submasks(scanned), lo, index_bit
 
 
-def _solved_columns(
-    factors: tuple[Anf, ...],
-    solved: tuple[int, ...],
-    points: list[int],
-    lo: int | None,
-    index_bit: dict[int, int] | None,
-) -> list[int]:
-    """Each factor's solved variable as a table over the points of a functional scan.
-
-    Bit i of table j is the value of ``solved[j]`` at ``points[i]``: one
-    plus the rest of factor j.
-    """
-    ones = (1 << len(points)) - 1
-    return [
-        _factor_table(h.monomials - {1 << p}, points, lo, index_bit) ^ ones
-        for h, p in zip(factors, solved)
-    ]
-
-
 #: ``memoryview.cast`` format of the native unsigned integer of each width.
 _WORD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
@@ -254,50 +236,42 @@ def _words(columns: list[int], size: int) -> Sequence[int]:
     return words if byteorder == "little" else words[::-1]
 
 
-def _functional_scan(sys: BoolSystem, bound: int) -> tuple[list[int], Sequence[int]] | None:
-    """Every point of the scanned variables of ``sys``, and each point's word.
+def _functional_scan(coords: tuple[Anf, ...], bound: int) -> list[int]:
+    """Each point's word over the variables the coordinates read.
 
-    None unless every factor has a solved variable (see ``_leaf_scan``).
-    Word i packs the solved values at ``points[i]``, factor j's at bit j;
-    for a graph system that is ``BoolMap.evaluate`` at the point.  The
-    points come in the scan's order, which is the canonical term order
-    when every solved variable follows every scanned one, as in a graph
-    system.  No ``Term`` is made: the scan's terms are each point with
-    its solved values.
+    Word i packs each coordinate's value at point i of ``submasks`` of
+    the OR of their supports, coordinate j at bit j: for a map that is
+    ``BoolMap.evaluate`` at the point.  Those are the solved columns of
+    the functional scan of the graph system, whose factor
+    f_j(X) + y_j + 1 fixes y_j = f_j(x), and the points come in
+    canonical term order.  No ``Term`` is made.
 
-    Past ``bound`` the scan runs in chunks: for each point of the lowest
-    scanned variables past the bound, in canonical order, the others are
-    scanned in the factors cofactored by it, which keeps every solved
-    variable private-linear.  Those seed variables are the most
-    significant digits of the point order, so the chunks give the points
-    and words of one scan, element for element.  The cofactors are made
-    one seed variable at a time on a stack, so chunks share those of
-    their common prefix.
+    The scan runs in chunks: for each point of the lowest read variables
+    past ``bound``, in canonical order, the others are scanned in the
+    coordinates cofactored by it.  Those seed variables are the most
+    significant digits of the point order, so the chunks give the words
+    of one scan, element for element.  The cofactors are made one seed
+    variable at a time on a stack, so chunks share those of their common
+    prefix.
     """
-    factors = sys.factors
-    scanned, solved = _leaf_scan(factors)
-    if solved is None:
-        return None
+    scanned = 0
+    for f in coords:
+        scanned |= f.support
     seed_vars = vars_of(scanned)[: max(0, scanned.bit_count() - min(bound, MAX_BOUND))]
     rest = scanned & ~mask_of(seed_vars)
     points, lo, index_bit = _scan_points(rest, rest.bit_count())
-    if not seed_vars:
-        return points, _words(_solved_columns(factors, solved, points, lo, index_bit), len(points))
-    all_points: list[int] = []
-    all_words: list[int] = []
-    stack = [(0, 0, factors)]  # seed variables fixed, their true ones, the cofactors
+    words: list[int] = []
+    stack = [(0, coords)]  # seed variables fixed, the cofactors
     while stack:
-        depth, seed, fs = stack.pop()
+        depth, fs = stack.pop()
         if depth == len(seed_vars):
-            all_points += [seed | p for p in points]
-            all_words += _words(_solved_columns(fs, solved, points, lo, index_bit), len(points))
+            columns = [_factor_table(f.monomials, points, lo, index_bit) for f in fs]
+            words += _words(columns, len(points))
             continue
         bit = 1 << seed_vars[depth]
         for t in (Term(bit, 0), Term(0, bit)):  # the 0 branch is popped first
-            stack.append(
-                (depth + 1, seed | t.pos, tuple(h.ratio(t) if h.support & bit else h for h in fs))
-            )
-    return all_points, all_words
+            stack.append((depth + 1, tuple(f.ratio(t) if f.support & bit else f for f in fs)))
+    return words
 
 
 def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
@@ -324,10 +298,12 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     essential = scanned
     if solved is not None:
         trues = points
-        columns = _solved_columns(factors, solved, points, lo, index_bit)
-        for p, column in zip(solved, columns):
+        ones = (1 << size) - 1
+        for h, p in zip(factors, solved):
             bit = 1 << p
             essential |= bit
+            # p is one plus the rest of its factor
+            column = _factor_table(h.monomials - {bit}, points, lo, index_bit) ^ ones
             digits = format(column, f"0{size}b")[::-1]  # character i: p at point i
             trues = [t | bit if c == "1" else t for t, c in zip(trues, digits)]
     else:

@@ -4,24 +4,24 @@ A map F: F2^n -> F2^m is held as m coordinate polynomials over input
 variables 0..n-1.  Output variables take the ids n..n+m-1, appended
 after the inputs.  The graph system h_i = f_i + y_i + 1 is satisfied
 exactly by the pairs (x, F(x)); each cover term is the paper's
-r_i(X)·s_i(Y), an input cube times one output point.  Injectivity, the
-image and the complement of the image are read off three columns with
-one entry per cover term: the plain part of its input cube, its output
-point as a word, y_j at bit j as ``BoolMap.evaluate`` packs it, and its
-free inputs.  At every bound the cover is the functional scan of the
-graph system, in chunks when the map reads more inputs than the bound,
-and the engine hands over its points and words without making terms;
-the inputs the map does not read are free in every term.  Injectivity
-counts the distinct words, and on a shortfall names the first repeated
-output, or else the first input cube with a free variable.  The
-complement is answered in output words.
+r_i(X)·s_i(Y), an input cube times one output point.  Since h_i fixes
+y_i = f_i(x), the cover has one term per point x of the inputs the map
+reads, in canonical order, with output point F(x); the inputs it does
+not read are free in every term.  The verdicts read only the output
+words, y_j at bit j as ``BoolMap.evaluate`` packs them.  At every bound
+the engine's functional scan of the coordinates gives them, in chunks
+when the map reads more inputs than the bound, without building the
+graph system or making terms.  Injectivity counts the distinct words.
+On a shortfall it names the points of the first repeated word, found
+from the words' indices, or else point 0 and the point that differs
+from it in the lowest free input.  The complement is answered in
+output words.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import compress
-from typing import Sequence
 
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Value, submasks
 from .engine import DEFAULT_BOUND, EngineConfig, _functional_scan, implicants
@@ -173,16 +173,15 @@ def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSe
     return cover
 
 
-def _graph_columns(F: BoolMap, cfg: EngineConfig | None) -> tuple[list[int], Sequence[int], int]:
-    """Input point and output word of each graph-cover term in canonical order, and the free inputs.
+def _graph_columns(F: BoolMap, cfg: EngineConfig | None) -> list[int]:
+    """The output word of each graph-cover term, in canonical order.
 
-    The cover is the functional scan of the graph system, in chunks past
-    the bound; every input outside the system's support is free in
-    every term.
+    The graph factor f_j + y_j + 1 fixes y_j = f_j(x), so the cover has
+    one term per point of the inputs the map reads, and its word is
+    F(x): the functional scan of the coordinates, in chunks past the
+    bound.  Every input the map does not read is free in every term.
     """
-    sys = build_graph_system(F)
-    points, words = _functional_scan(sys, cfg.base_bound_m if cfg else DEFAULT_BOUND)
-    return points, words, F.x_universe & ~sys.support
+    return _functional_scan(F.coords, cfg.base_bound_m if cfg else DEFAULT_BOUND)
 
 
 def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
@@ -190,21 +189,26 @@ def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
 
     Two terms sharing one output point have disjoint input cubes by
     orthogonality, so their points collide; the first repeated output
-    wins.  Otherwise, when the map ignores an input, the first cube
-    collides within itself on its lowest free input.
+    wins.  Otherwise, when the map ignores an input, the first cube,
+    that of point 0, collides within itself on its lowest free input.
     """
-    points, words, free = _graph_columns(F, cfg)
+    words = _graph_columns(F, cfg)
     count = len(set(words))
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
-    first_x_by_y: dict[int, int] = {}
-    for x, y in zip(points, words):
-        if y in first_x_by_y:
-            pair = first_x_by_y[y], x
+    read = 0
+    for f in F.coords:
+        read |= f.support
+    first: dict[int, int] = {}  # word -> index of its first point
+    for i, y in enumerate(words):
+        j = first.setdefault(y, i)
+        if j != i:
+            points = submasks(read)
+            pair = points[j], points[i]
             break
-        first_x_by_y[y] = x
     else:
-        pair = (points[0], points[0] | (free & -free)) if free else None
+        free = F.x_universe & ~read
+        pair = (0, free & -free) if free else None
     if pair is None:
         raise RuntimeError("non-injective map without extractable witness")
     witness = tuple(Assignment(F.x_universe, x) for x in pair)
@@ -232,7 +236,7 @@ def _image_complement(
     F: BoolMap, cfg: EngineConfig | None, max_points: int
 ) -> ComplementResult:
     m = F.m_out
-    words = set(_graph_columns(F, cfg)[1])
+    words = set(_graph_columns(F, cfg))
     if (1 << m) > max_points:
         row = f"0{m}b"
         image = tuple(sorted(words, key=lambda w: format(w, row)[::-1]))

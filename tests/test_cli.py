@@ -474,7 +474,7 @@ def test_internal_errors_exit_2(capsys, monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(boolinv.maps, "_functional_scan", broken)
-    monkeypatch.setattr(boolinv.cli, "implicants", broken)
+    monkeypatch.setattr(boolinv.maps, "implicants", broken)  # map implicants: graph_implicants
     # every MemoryError is reported by one fixed line, built after the handler
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     for command in ("invert", "implicants"):

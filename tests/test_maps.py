@@ -267,11 +267,24 @@ def test_free_cube_witness_sets_its_lowest_free_input():
         assert all(a.universe == F.x_universe for a in v.witness)
 
 
+def test_collision_in_a_later_chunk_names_the_points_brute_force_does():
+    # y1 = x1 + x1 x2 + x1 x2 x3 is 0 at x1 x2 x3 = 110, the output of 010 repeated;
+    # at bound 1 the chunks fix x1 x2: 010 is in the second of four, 110 in the last
+    uni = mask_of(range(3))
+    x1, x2, x3 = (Anf.variable(v, uni) for v in range(3))
+    F = BoolMap.of([x1 ^ x1 * x2 ^ x1 * x2 * x3, x2, x3], 3)
+    injective, expected = brute_injective(F)
+    assert not injective and [a.trues for a in expected] == [0b010, 0b011]
+    for bound in (1, 2, 12):
+        v = is_one_to_one_general(F, EngineConfig(bound))
+        assert (v.one_to_one, v.witness, v.y_minterm_count) == (False, expected, 7), bound
+
+
 def test_missing_outputs_without_a_collision_is_an_engine_defect(monkeypatch):
     # a scan that misses the point x1 x2 = 11 of a map that reads both inputs
     F = identity_map(2)
-    scan = ([0b00, 0b01, 0b10], [0b00, 0b01, 0b10])
-    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda sys, bound: scan)
+    words = [0b00, 0b01, 0b10]
+    monkeypatch.setattr(boolinv.maps, "_functional_scan", lambda coords, bound: words)
     with pytest.raises(RuntimeError, match="without extractable witness"):
         is_invertible_square(F)
 

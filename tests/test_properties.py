@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolinv import parsing
-from boolinv.algebra import Anf, Assignment, BoolSystem, mask_of, submasks, vars_of
+from boolinv.algebra import Anf, Assignment, BoolSystem, Term, mask_of, submasks, vars_of
 from boolinv.cli import _HANDLERS, _json, main
 from boolinv.engine import (
     MAX_BOUND,
@@ -27,9 +27,11 @@ from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
 from boolinv.maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
+    _graph_columns,
     _image_complement,
     _one_to_one_verdict,
     build_graph_system,
+    graph_implicants,
 )
 from boolinv.oracle import (
     _orthogonality_violation,
@@ -145,12 +147,10 @@ _WIDE_MAPS = [BoolMap.of(random_map_coords(random.Random(m), 6, m), 6) for m in 
 @example(_WIDE_MAPS[1])
 @example(_WIDE_MAPS[2])
 def test_leaf_words_are_the_same_at_every_bound(F):
-    sys = build_graph_system(F)
-    read = sys.support & F.x_universe  # scanned: the inputs the map reads
+    read = build_graph_system(F).support & F.x_universe  # the inputs the map reads
     k = read.bit_count()
-    points, words = _functional_scan(sys, k)
-    assert points == submasks(read)
-    assert list(words) == [F.evaluate(Assignment(F.x_universe, x)) for x in points]
+    words = _functional_scan(F.coords, k)
+    assert words == [F.evaluate(Assignment(F.x_universe, x)) for x in submasks(read)]
     verdict = _one_to_one_verdict(F, None)
     injective, _ = brute_injective(F)
     assert verdict.one_to_one == injective
@@ -165,11 +165,29 @@ def test_leaf_words_are_the_same_at_every_bound(F):
     if complement.points is not None:
         assert set(complement.points) == set(range(1 << F.m_out)) - image
     for bound in range(1, k + 1):  # chunks of every width
-        chunked = _functional_scan(sys, bound)
-        assert chunked[0] == points and list(chunked[1]) == list(words), bound
+        assert _functional_scan(F.coords, bound) == words, bound
         cfg = EngineConfig(bound)
         assert _one_to_one_verdict(F, cfg) == verdict, bound
         assert _image_complement(F, cfg, DEFAULT_MAX_POINTS) == complement, bound
+
+
+@st.composite
+def sparse_maps(draw):
+    """A ``random_map_coords`` map of 1..12 inputs and 1..n+2 outputs."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, n + 2))
+    return BoolMap.of(random_map_coords(random.Random(draw(st.integers(0, 1 << 16))), n, m), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(word_maps(), sparse_maps()))
+def test_verdict_words_are_the_graph_cover(F):
+    # the verdicts' words are the implicant cover of the graph system, term for term
+    n = F.n_in
+    read = build_graph_system(F).support & F.x_universe
+    fixed = read | F.y_universe
+    minterms = [x | y << n for x, y in zip(submasks(read), _graph_columns(F, None))]
+    assert graph_implicants(F).terms == tuple(Term(t, fixed ^ t) for t in minterms)
 
 
 @st.composite
