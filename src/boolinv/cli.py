@@ -14,12 +14,11 @@ be lazy: they are only read for ``--format text``.  JSON is written by
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from itertools import chain, repeat
 from operator import and_, rshift
+from types import SimpleNamespace
 
 from .algebra import Assignment
 from .engine import DEFAULT_BOUND, MAX_BOUND, EngineConfig, implicants
@@ -56,8 +55,16 @@ _KIND = {MapProblem: "map", SystemProblem: "system", PolyProblem: "poly"}
 #: A ``False`` under any of these keys is a decided negative: exit 1.
 _VERDICT_KEYS = ("one_to_one", "permutation", "injective")
 
+_FORMATS = ("text", "json")
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+#: The options of the canonical argv, each with the attribute it sets.
+_OPTIONS = {"--bound": "bound", "--format": "format", "--max-enum": "max_enum"}
+
+
+def _build_parser():
+    """The argparse tree, built only for an argv that ``_read_argv`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="boolinv",
         description="Invertibility and image analysis of Boolean maps "
@@ -71,7 +78,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         f"(default {DEFAULT_BOUND}, at most {MAX_BOUND})",
     )
     common.add_argument(
-        "--format", choices=("text", "json"), default="text",
+        "--format", choices=_FORMATS, default="text",
         help="result document format (default text)",
     )
     common.add_argument(
@@ -91,34 +98,68 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ("oracle", "brute-force ground truth for the same decisions"),
     ):
         sub.add_parser(name, help=text, parents=[common])
-    return parser, sub.choices
+    return parser
 
 
-#: Built once per process: the tree costs more than a small command.
-_PARSER, _COMMANDS = _build_parser()
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The canonical argv read directly, or None for argparse to answer.
 
-
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``, with a known command parsed by its own parser.
-
-    This skips the top-level parser's own pass over ``argv``.  That
-    parser still answers an unknown command, ``--help`` and an empty
-    argv, and it reports leftover arguments, so every usage error keeps
-    its bytes.
+    Canonical is ``COMMAND FILE`` and then ``--bound M``, ``--format F``
+    or ``--max-enum N`` pairs, where neither FILE nor a value starts with
+    ``-``.  The values are converted as argparse converts them: ``int``
+    for M and N, F one of the choices, and a repeated option keeps its
+    last value.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    if sub is None:
-        return _PARSER.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        _PARSER.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
+    if len(argv) < 2 or len(argv) % 2 or argv[0] not in _HANDLERS or argv[1].startswith("-"):
+        return None
+    args = SimpleNamespace(
+        command=argv[0],
+        file=argv[1],
+        bound=DEFAULT_BOUND,
+        format="text",
+        max_enum=DEFAULT_MAX_POINTS,
+    )
+    for option, value in zip(argv[2::2], argv[3::2]):
+        attr = _OPTIONS.get(option)
+        if attr is None or value.startswith("-"):
+            return None
+        if attr != "format":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif value not in _FORMATS:
+            return None
+        setattr(args, attr, value)
     return args
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder, in C
+def _parse_args(argv: list[str] | None):
+    """``command``, ``file``, ``bound``, ``format`` and ``max_enum`` of ``argv``.
+
+    Any argv that ``_read_argv`` declines (help, an abbreviation,
+    ``--opt=value``, ``--``, a value argparse refuses, an unknown command
+    or flag) is parsed by the argparse tree, which is imported and built
+    only then; it prints every usage error and help text.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    return _read_argv(argv) or _build_parser().parse_args(argv)
+
+
+def _encode_str(s: str) -> str:
+    """``json.dumps(s)``; a ``TypeError`` for anything but a string.
+
+    A printable ASCII string without ``"`` or ``\\`` is only quoted.  Any
+    other goes to ``json``'s C encoder, which is imported only then.
+    """
+    if not isinstance(s, str):
+        raise TypeError(f"not a string: {type(s).__name__}")
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
 
 
 def _digits(n: int) -> str:
@@ -139,7 +180,7 @@ def _json(value, indent: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, for str keys.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
-    set; here the layout is joined and every string is encoded in C.
+    set; here the layout is joined and each string goes to ``_encode_str``.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -164,6 +205,8 @@ def _json(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if type(value) is int:
         return _digits(value)
+    import json
+
     return json.dumps(value)  # any other scalar
 
 

@@ -86,10 +86,10 @@ class PolyProblem(Value):
 
 Problem = Union[MapProblem, SystemProblem, PolyProblem]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# each token class is a named group; _products needs `op` and `bad`, the rest are operands
-_ANF_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|(?P<op>[+*])|(?P<bad>\S)")
-_POLY_TOKEN = re.compile(r"(?P<x>X(?:\^[0-9]+)?)|(?P<coeff>[0-9a-fA-F]+)|(?P<op>[+*])|(?P<bad>\S)")
+# token patterns, compiled by `re` on first use: each token class is a named
+# group; _products needs `op` and `bad`, the rest are operands
+_ANF_TOKEN = r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<one>1)|(?P<op>[+*])|(?P<bad>\S)"
+_POLY_TOKEN = r"(?P<x>X(?:\^[0-9]+)?)|(?P<coeff>[0-9a-fA-F]+)|(?P<op>[+*])|(?P<bad>\S)"
 
 
 def _strip_comment(line: str) -> str:
@@ -97,7 +97,7 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _products(body: str, offset: int, lineno: int, token: re.Pattern, what: str):
+def _products(body: str, offset: int, lineno: int, token: str, what: str):
     """Operands of each product in a `+`-sum of `*`-products.
 
     The whole expression's syntax is checked first, so a syntax error
@@ -110,7 +110,7 @@ def _products(body: str, offset: int, lineno: int, token: re.Pattern, what: str)
     operands: list[tuple[str, str, int]] = []
     expect_operand = True
     col = offset + 1
-    for m in token.finditer(body):
+    for m in re.finditer(token, body):
         kind, tok = m.lastgroup, m.group()
         col = offset + m.start() + 1
         if kind == "op":
@@ -274,7 +274,7 @@ def parse_text(text: str) -> Problem:
             for m in re.finditer(r"\S+", stripped[5:]):
                 name = m.group()
                 col = indent + 5 + m.start() + 1
-                if not _IDENT.fullmatch(name):
+                if not (name.isascii() and name.isidentifier()):
                     raise ParseError(f"invalid variable name '{name}'", lineno, col)
                 if name in bits:
                     raise ParseError(f"duplicate variable '{name}'", lineno, col)
@@ -318,7 +318,7 @@ def parse_text(text: str) -> Problem:
             f = _parse_anf(rhs, rhs_offset, lineno, bits, targets)
             factors.append(Anf.from_monomials([*f, 0], uni))  # f = 0 becomes factor f + 1
         else:
-            if not _IDENT.fullmatch(lhs_name):
+            if not (lhs_name.isascii() and lhs_name.isidentifier()):
                 raise ParseError(f"invalid equation target '{lhs_name}'", lineno, indent + 1)
             if lhs_name in bits:
                 raise ParseError(
@@ -344,8 +344,13 @@ def parse_text(text: str) -> Problem:
 
 
 def parse_file(path: str) -> Problem:
+    """Parse the problem file at ``path``, less a leading UTF-8 byte-order mark.
+
+    The mark is cut after decoding, as ``utf-8-sig`` would cut it, which
+    saves loading that codec's module.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+        return parse_text(fh.read().removeprefix("\ufeff"))
 
 
 def format_term(t: Term, table: VarTable) -> str:

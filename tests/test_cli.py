@@ -1,7 +1,10 @@
 """End-to-end checks of the command-line front end."""
 
+import ast
+import contextlib
 import importlib.metadata
 import importlib.util
+import io
 import json
 import os
 import random
@@ -12,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import boolinv
 import boolinv.cli
@@ -593,6 +598,35 @@ def test_star_import_binds_every_exported_name():
     assert all(namespace[name] is getattr(boolinv, name) for name in boolinv.__all__)
 
 
+#: Modules that a well-formed command does not use; argparse loads gettext and locale.
+_NOT_AT_START = ("argparse", "boolinv.oracle", "dataclasses", "gettext", "json", "locale")
+#: perfbench's tracer reads these from sys.modules when it installs its hooks.
+_TRACED = ["boolinv.collision", "boolinv.gf2n"]
+
+
+def _fresh_modules(*argvs: list[str]) -> list[list[str]]:
+    """The watched modules a fresh interpreter holds after ``import boolinv.cli``
+    and then after each ``main(argv)``, whose output and exit are dropped."""
+    probe = (
+        "import io, sys, boolinv.cli\n"
+        f"watched = {{*{_NOT_AT_START!r}, *{_TRACED!r}}}\n"
+        "steps = [sorted(watched & sys.modules.keys())]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    sys.stdout = sys.stderr = io.StringIO()\n"
+        "    try:\n"
+        "        boolinv.cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    steps.append(sorted(watched & sys.modules.keys()))\n"
+        "print(repr(steps), file=sys.__stdout__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
 def test_cli_import_loads_neither_dataclasses_nor_the_oracle(capsys):
     # -S: no site hook imports anything first; the oracle loads on first use
     probe = (
@@ -608,6 +642,85 @@ def test_cli_import_loads_neither_dataclasses_nor_the_oracle(capsys):
     assert proc.stdout.splitlines()[:2] == ["[]", "boolinv.oracle"]
     assert code == 1
     assert (proc.returncode, proc.stdout.split("\n", 2)[2]) == (code, out)
+    # a canonical argv is read without argparse, and a JSON document of plain
+    # strings is written without json; help and a bad flag load argparse
+    canonical = ["invert", QUAD, "--format", "json", "--bound", "3", "--max-enum", "8"]
+    steps = _fresh_modules(canonical, ["unique", UNIQUE_SYS], ["invert", "--help"])
+    assert steps[:3] == [_TRACED] * 3
+    assert "argparse" in steps[3]
+    assert "argparse" in _fresh_modules(["invert", QUAD, "--frobnicate"])[1]
+
+
+# argv tokens: commands, FILE values, exact, abbreviated and `=` options, `--`,
+# help, int spellings (`int` takes " 3" and "1_0", refuses "0x3" and 5000 digits;
+# argparse takes "-1" as a value but not "-1_0") and formats; any token may land
+# where another kind goes
+_COMMAND_TOKENS = st.sampled_from([*boolinv.cli._HANDLERS, "frobnicate", "inv"])
+_FILE_TOKENS = st.one_of(st.just("quad.txt"), st.sampled_from(["-", "", "-quad.txt", " quad.txt"]))
+_OPTION_TOKENS = st.one_of(
+    st.sampled_from(["--bound", "--format", "--max-enum"]),
+    st.sampled_from(["--bou", "--form", "--max", "--m"]),
+    st.sampled_from(["--bound=3", "--format=json", "--max-enum=8"]),
+    st.sampled_from(["--", "-h", "--help", "--frobnicate"]),
+)
+_INT_TOKENS = st.sampled_from(["3", " 3", "1_0", "-1", "-1_0", "0x3", "9" * 5000])
+_FORMAT_TOKENS = st.sampled_from(["json", "text", "xml"])
+_VALUE_TOKENS = st.one_of(_INT_TOKENS, _FORMAT_TOKENS)
+_ANY_TOKEN = st.one_of(_COMMAND_TOKENS, _FILE_TOKENS, _OPTION_TOKENS, _VALUE_TOKENS)
+# an option with a value of its own kind, or any option with any value
+_PAIR = st.one_of(
+    st.tuples(st.sampled_from(["--bound", "--max-enum"]), _INT_TOKENS),
+    st.tuples(st.just("--format"), _FORMAT_TOKENS),
+    st.tuples(_OPTION_TOKENS, _ANY_TOKEN),
+)
+_PAIRS = st.lists(_PAIR, max_size=3)
+_CANONICAL_SHAPE = st.builds(
+    lambda command, file, pairs: [command, file, *(token for pair in pairs for token in pair)],
+    _COMMAND_TOKENS,
+    _FILE_TOKENS,
+    _PAIRS,
+)
+# the shape as is, shuffled (an option before FILE, say), or any tokens
+_ARGV = st.one_of(
+    _CANONICAL_SHAPE, _CANONICAL_SHAPE.flatmap(st.permutations), st.lists(_ANY_TOKEN, max_size=7)
+)
+_ARGPARSE_TREE = boolinv.cli._build_parser()
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_ARGV)
+@example(["invert", "quad.txt", "--bound", " 3", "--format", "json", "--bound", "1_0"])
+@example(["unique", "", "--max-enum", "8"])
+@example(["invert", "quad.txt", "--format", "json", "--bound"])  # an option without a value
+@example(["invert", "quad.txt", "--bound=3", "4"])  # argparse: 4 is an extra argument
+def test_direct_argv_read_agrees_with_argparse(argv):
+    direct = boolinv.cli._read_argv(argv)
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            parsed = vars(_ARGPARSE_TREE.parse_args(argv))
+    except SystemExit:
+        assert direct is None, argv
+    else:
+        assert direct is None or vars(direct) == parsed, argv
+
+
+def test_json_writer_quotes_plain_strings_and_escapes_the_rest():
+    # each side of the printable-ASCII range, the two escaped printables, and
+    # non-ASCII up to an astral character, alone and in a longer string
+    edges = [" ", "~", "/", "\x1f", "\x7f", '"', "\\", "\x80", "caf\u00e9", "\u2028", "\U0001f600"]
+    odd = [*edges, *(f"x1 {c} y2'" for c in edges), "", "a\tb\n", "\x00"]
+    doc = {
+        "schema": 1,
+        "strings": odd,
+        "nested": [{s: [s, None, True, False, 0, -3, [], {}]} for s in odd],
+        "mixed": ["plain", 7, ["a", "b\\"], [odd]],
+        **{key: key for key in odd},
+    }
+    assert boolinv.cli._json(doc) == json.dumps(doc, indent=2)
+    # the list path tries the string encoder first and relies on this
+    with pytest.raises(TypeError):
+        boolinv.cli._encode_str(1)
 
 
 def _bindings() -> dict:

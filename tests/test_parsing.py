@@ -16,6 +16,7 @@ from boolinv.parsing import (
     format_poly,
     format_problem,
     format_term,
+    parse_file,
     parse_text,
 )
 
@@ -104,6 +105,20 @@ def test_numbers_past_the_int_string_limit_are_parse_errors():
 def test_comments_and_blank_lines_ignored():
     p = parse_text("\n# header\nvars: u v  # trailing\n0 = u*v + 1\n\n")
     assert isinstance(p, SystemProblem)
+
+
+def test_file_with_a_byte_order_mark_parses_as_without(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(SHIFT_MAP_TEXT, encoding="utf-8")
+    marked.write_text("\ufeff" + SHIFT_MAP_TEXT, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert parse_file(marked) == parse_file(plain) == parse_text(SHIFT_MAP_TEXT)
+    # only the file reader cuts the mark, and only one
+    with pytest.raises(ParseError, match="line 1, column 1: expected 'vars:'"):
+        parse_text("\ufeff" + SHIFT_MAP_TEXT.split("\n", 1)[1])
+    marked.write_text("\ufeff\ufeff" + SHIFT_MAP_TEXT, encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1, column 1: expected 'vars:'"):
+        parse_file(marked)
 
 
 def test_undeclared_variable_position():

@@ -5,11 +5,12 @@ import io
 import itertools
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boolinv import parsing
@@ -460,6 +461,25 @@ def test_anf_split_path_accepts_exactly_what_the_scanner_accepts(body):
         # the split path never accepts what the scanner rejects, nor moves an error
         assert scan.called != splits, body
         assert got == outcome(_scan_anf), body
+
+
+# ASCII and other identifier characters (é, ª, Arabic-Indic one, middle dot), and a dash
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.text(st.sampled_from("aZ_09\u00e9\u00aa\u0661\u00b7-"), min_size=1, max_size=4))
+def test_variable_names_are_ascii_identifiers(name):
+    assume(name != "0")  # `0 = ...` is a system equation
+    valid = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
+    for text, message in (
+        (f"vars: {name}\n0 = {name}\n", "invalid variable name"),
+        (f"vars: q\n{name} = q\n", "invalid equation target"),
+    ):
+        try:
+            parse_text(text)
+            accepted = True
+        except ParseError as exc:
+            assert message in str(exc), (text, str(exc))
+            accepted = False
+        assert accepted == valid, text
 
 
 _JSON_TEXT = st.text(
