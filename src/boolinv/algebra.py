@@ -58,6 +58,19 @@ def submasks(mask: int) -> list[int]:
     return out
 
 
+#: ``bytes.translate`` table from the digits "0" and "1" to the bytes 0 and 1.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(bits: int, size: int) -> bytes:
+    """Byte i is bit i of ``bits``, 0 or 1, padded with zeros to ``size`` bytes.
+
+    The bytes select for ``itertools.compress`` and multiply in ``map``,
+    so a truth table picks or sets its points at C speed.
+    """
+    return format(bits, f"0{size}b")[::-1].encode().translate(_FLAGS)
+
+
 class Value:
     """Base of the immutable value classes.
 

@@ -25,6 +25,7 @@ from .engine import DEFAULT_BOUND, MAX_BOUND, EngineConfig, implicants
 from .maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
+    NonSquareMapError,
     Uniqueness,
     coi,
     goe,
@@ -231,10 +232,20 @@ def _witness_lines(witness, table: VarTable) -> list[str]:
     ]
 
 
+#: For each command that needs a square map, the advice for any other map.
+_NON_SQUARE = {
+    "invert": "use one2one for non-square maps",
+    "goe": "use coi for maps with more outputs than inputs",
+}
+
+
 def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:
     if not isinstance(problem, MapProblem):
         raise ValueError(f"{command} expects a map file")
-    return problem.map, problem.table
+    F = problem.map
+    if command in _NON_SQUARE and F.m_out != F.n_in:
+        raise NonSquareMapError(F.n_in, F.m_out, _NON_SQUARE[command])
+    return F, problem.table
 
 
 def _run_implicants(problem: Problem, args, cfg: EngineConfig):

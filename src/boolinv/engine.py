@@ -41,10 +41,12 @@ them once, so output order is canonical.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import mul, or_
 from sys import byteorder
 from typing import Iterable, Sequence
 
-from .algebra import Anf, BoolSystem, ImplicantSet, Term, Value, mask_of, submasks, vars_of
+from .algebra import Anf, BoolSystem, ImplicantSet, Term, Value, bit_flags, mask_of, submasks, vars_of
 
 #: Largest number of variables one leaf scan enumerates.
 DEFAULT_BOUND = 12
@@ -298,14 +300,12 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     essential = scanned
     if solved is not None:
         trues = points
-        ones = (1 << size) - 1
         for h, p in zip(factors, solved):
             bit = 1 << p
             essential |= bit
-            # p is one plus the rest of its factor
-            column = _factor_table(h.monomials - {bit}, points, lo, index_bit) ^ ones
-            digits = format(column, f"0{size}b")[::-1]  # character i: p at point i
-            trues = [t | bit if c == "1" else t for t, c in zip(trues, digits)]
+            # p is one plus the rest of its factor: its monomial gives way to 1
+            column = _factor_table(h.monomials ^ {bit, 0}, points, lo, index_bit)
+            trues = list(map(or_, trues, map(mul, bit_flags(column, size), repeat(bit))))
     else:
         table = (1 << size) - 1
         for h in factors:
@@ -320,12 +320,7 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
             if low == (table & p) >> (1 << b):
                 table = low  # keep the points with v = 0; v stays free
                 essential ^= 1 << v
-        bits = format(table, "b")[::-1]  # character i is the value at point i
-        trues = []
-        i = bits.find("1")
-        while i >= 0:
-            trues.append(points[i])
-            i = bits.find("1", i + 1)
+        trues = compress(points, bit_flags(table, size))
     out = [Term(t, essential ^ t) for t in trues]
     if solved and scanned and min(solved) < scanned.bit_length() - 1:
         out.sort(key=Term.sort_key)  # a solved variable precedes a scanned one
@@ -371,6 +366,9 @@ def _crossing_order(
     The search runs through packed and residual factors alike, from each
     packed factor not reached yet in plan order, so consecutive packed
     factors meet the same residual factors whatever the equation order.
+    The search stops once every packed factor is in the order.  With one
+    packed factor it stops at its start, and with no residual factor each
+    search reaches only its start, so the order is the plan order.
     """
     is_packed = set(packed)
     seen: set[int] = set()
@@ -384,6 +382,8 @@ def _crossing_order(
         for i in queue:  # the loop also visits what it appends
             if i in is_packed:
                 order.append(i)
+                if len(order) == len(packed):
+                    return order
             for v in factor_vars[i]:
                 if v not in done_vars:
                     done_vars.add(v)
@@ -440,11 +440,16 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     functional scan ``_leaf_scan`` finds is.  A constant-1 factor has no
     solved variable, so the entry branches drop theirs, as
     ``_cofactor_near`` does for every later branch; a 0 factor needs no
-    check, since a leaf's table or a packed cover of it is empty.  Any
-    other step crosses the covers of its plan starting from its own seed:
-    those of the packed factors, or for a Shannon split the two literals
-    of the split variable.  After each cover only the residual factors
-    sharing a variable with it are cofactored, and a branch is dropped as
+    check, since a leaf's table or a packed cover of it is empty.  Every
+    other step has one shape.  It indexes the factors that use each
+    variable and crosses the covers of its plan starting from its own
+    seed: those of the packed factors in ``_crossing_order``, or for a
+    Shannon split the two literals of the split variable.  A packed
+    cover's neighbours, taken as the cross reaches it, are the other
+    factors that share a variable with it, so all are residual, since
+    packed factors share none; a split's are the factors using its
+    variable.  After each cover only its neighbours are cofactored, in
+    each branch's map of residual factors, and a branch is dropped as
     soon as one of them is 0 or two single-literal cofactors clash; once
     every branch is dropped, no further cover is solved.  A dropped
     branch has an unsatisfiable residual, so the cover is the one the
@@ -472,37 +477,30 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
                 out.extend(terms)
             continue
         plan = select_disjoint_clusters(sys, cfg)
-        split = plan.split_var
-        residual = plan.residual
+        factor_vars = [vars_of(h.support) for h in factors]
         occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
-        if residual:
-            factor_vars = [vars_of(h.support) for h in factors]
-            for i, vs in enumerate(factor_vars):
-                for v in vs:
-                    occurs.setdefault(v, []).append(i)
-        if split is None:
-            order = plan.disjoint_factors
-            near: dict[int, list[int]] = {}  # packed factor -> residual factors sharing a variable
-            if residual:
-                is_residual = set(residual)
-                for i in order:
-                    near[i] = list(
-                        {k for v in factor_vars[i] for k in occurs[v] if k in is_residual}
-                    )
-                if len(order) > 1:
-                    order = _crossing_order(order, factor_vars, occurs)
-            covers = ((impl_for_simple(factors[i], bound).terms, near.get(i, ())) for i in order)
+        for i, vs in enumerate(factor_vars):
+            for v in vs:
+                occurs.setdefault(v, []).append(i)
+        if plan.split_var is None:
+            covers = (
+                (
+                    impl_for_simple(factors[i], bound).terms,
+                    {k for v in factor_vars[i] for k in occurs[v] if k != i},  # its neighbours
+                )
+                for i in _crossing_order(plan.disjoint_factors, factor_vars, occurs)
+            )
         else:
-            bit = 1 << split
-            covers = (((Term(0, bit), Term(bit, 0)), occurs[split]),)
-        partial = [(pos, neg, {i: factors[i] for i in residual})]
-        for terms, near_i in covers:
+            bit = 1 << plan.split_var
+            covers = (((Term(0, bit), Term(bit, 0)), occurs[plan.split_var]),)
+        partial = [(pos, neg, {i: factors[i] for i in plan.residual})]
+        for terms, near in covers:
             # crossed covers have disjoint supports, so their terms never clash
             partial = [
                 (pos | t.pos, neg | t.neg, sub)
                 for pos, neg, res in partial
                 for t in terms
-                if (sub := _cofactor_near(res, near_i, t, occurs)) is not None
+                if (sub := _cofactor_near(res, near, t, occurs)) is not None
             ]
             if not partial:
                 break

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 
-from .algebra import Anf, Value, mask_of
+from .algebra import Anf, Value, bit_flags, mask_of
 from .engine import EngineConfig, moebius
 from .maps import BoolMap, is_invertible_square
 
@@ -38,10 +38,6 @@ MAX_TERM_POINTS = 1 << 24
 #: The same cap for the CLI's ``oracle``, whose Horner sweep costs a few
 #: microseconds per term and point; it admits a dense polynomial up to n = 10.
 MAX_ORACLE_TERM_POINTS = 1 << 20
-
-#: The digits "0" and "1" to the characters that encode to the bytes 0
-#: and 1, false and true as selectors for ``compress``.
-_SELECT = str.maketrans("01", "\x00\x01")
 
 
 def _poly_deg(p: int) -> int:
@@ -290,8 +286,8 @@ def coordinate_functions(p: UniPoly) -> BoolMap:
     coords = []
     for j in range(n):
         table = int(digits[n - 1 - j :: n], 2)  # bit j of every value
-        anf = format(moebius(table, n), "b")[::-1].translate(_SELECT)  # character i: monomial i
-        coords.append(Anf(frozenset(compress(monomials, anf.encode())), uni))
+        anf = bit_flags(moebius(table, n), 1 << n)  # byte i: the coefficient of monomial i
+        coords.append(Anf(frozenset(compress(monomials, anf)), uni))
     return BoolMap.of(coords, n)
 
 

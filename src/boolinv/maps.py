@@ -35,13 +35,13 @@ _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class NonSquareMapError(ValueError):
-    """Square-map analysis applied to a map with m_out != n_in."""
+    """Square-map analysis applied to a map with m_out != n_in.
 
-    def __init__(self, n_in: int, m_out: int):
-        super().__init__(
-            f"map has {n_in} inputs and {m_out} outputs; "
-            "use is_one_to_one_general for non-square maps"
-        )
+    ``advice`` names what applies to the map instead.
+    """
+
+    def __init__(self, n_in: int, m_out: int, advice: str):
+        super().__init__(f"map has {n_in} inputs and {m_out} outputs; {advice}")
 
 
 class BoolMap(Value):
@@ -218,7 +218,7 @@ def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
 def is_invertible_square(F: BoolMap, cfg: EngineConfig | None = None) -> Verdict:
     """Bijectivity of a square map: all 2^n output minterms must appear."""
     if F.m_out != F.n_in:
-        raise NonSquareMapError(F.n_in, F.m_out)
+        raise NonSquareMapError(F.n_in, F.m_out, "use is_one_to_one_general for non-square maps")
     return _one_to_one_verdict(F, cfg)
 
 
@@ -255,7 +255,7 @@ def goe(
 ) -> ComplementResult:
     """Outputs of a square map with no preimage; empty iff invertible."""
     if F.m_out != F.n_in:
-        raise NonSquareMapError(F.n_in, F.m_out)
+        raise NonSquareMapError(F.n_in, F.m_out, "use coi for maps with more outputs than inputs")
     return _image_complement(F, cfg, max_points)
 
 

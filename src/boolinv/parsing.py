@@ -381,19 +381,14 @@ def format_assignment(a: Assignment, table: VarTable) -> str:
 
 
 def format_poly(p: UniPoly) -> str:
-    if p.degree < 0:
-        return "0"
     parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coefficients[e].value
-        if c == 0:
-            continue
+    for e, c in reversed(p.terms):
         if e == 0:
-            parts.append(f"{c:x}")
+            parts.append(f"{c.value:x}")
         else:
             x = "X" if e == 1 else f"X^{e}"
-            parts.append(x if c == 1 else f"{c:x}*{x}")
-    return " + ".join(parts)
+            parts.append(x if c.value == 1 else f"{c.value:x}*{x}")
+    return " + ".join(parts) or "0"
 
 
 def format_problem(p: Problem) -> str:

@@ -11,6 +11,7 @@ from boolinv.algebra import (
     BoolSystem,
     MissingVariableError,
     Term,
+    bit_flags,
     mask_of,
     submasks,
     vars_of,
@@ -79,6 +80,17 @@ def test_submasks_in_minterm_sort_key_order():
         every = [sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)]
         assert subs == sorted(every, key=lambda p: Term.minterm(mask, p).sort_key())
         assert subs == product_points(vars_of(mask))
+
+
+def test_bit_flags_byte_i_is_bit_i_padded_to_size():
+    rng = random.Random(12)
+    for size in (1, 2, 8, 13, 64, 300):
+        bits = rng.getrandbits(size)
+        flags = bit_flags(bits, size)
+        assert flags == bytes((bits >> i) & 1 for i in range(size))
+        assert list(itertools.compress(range(size), flags)) == vars_of(bits)
+    assert bit_flags(0b101, 6) == b"\1\0\1\0\0\0"
+    assert bit_flags(0, 5) == bytes(5)
 
 
 def test_term_assignment_requires_full_fixing():

@@ -379,6 +379,32 @@ def test_error_exits(capsys, tmp_path):
     assert "error:" in err and "line 2" in err
 
 
+NARROW = "vars: a b\ny = 1\n"  # 2 inputs, 1 output
+WIDE = "vars: a\ny1 = a\ny2 = 1\n"  # 1 input, 2 outputs
+TO_ONE2ONE = "use one2one for non-square maps"
+TO_COI = "use coi for maps with more outputs than inputs"
+
+
+@pytest.mark.parametrize(
+    "text, command, error, advised_exit",
+    [
+        (NARROW, "invert", f"map has 2 inputs and 1 outputs; {TO_ONE2ONE}", 1),
+        (WIDE, "invert", f"map has 1 inputs and 2 outputs; {TO_ONE2ONE}", 0),
+        (NARROW, "goe", f"map has 2 inputs and 1 outputs; {TO_COI}", 2),
+        (WIDE, "goe", f"map has 1 inputs and 2 outputs; {TO_COI}", 0),
+    ],
+)
+def test_non_square_refusal_names_the_command_that_applies(
+    capsys, tmp_path, text, command, error, advised_exit
+):
+    path = tmp_path / "map.txt"
+    path.write_text(text)
+    assert run(capsys, command, path) == (2, "", f"error: {error}\n")
+    # the named command decides the map, or refuses it too when it has fewer outputs
+    advised = error.split("; use ")[1].split()[0]
+    assert run(capsys, advised, path)[0] == advised_exit
+
+
 def test_max_enum_outside_cap_exits_2_at_once(capsys, tmp_path):
     missing = tmp_path / "missing.txt"  # refused before the file is read
     for value in (str((1 << 20) + 1), "-1"):

@@ -88,8 +88,16 @@ def test_quad_map_not_invertible_with_valid_witness():
 def test_invertible_square_rejects_non_square():
     uni = mask_of(range(2))
     F = BoolMap.of([Anf.variable(0, uni)], 2)
-    with pytest.raises(NonSquareMapError):
+    with pytest.raises(NonSquareMapError, match="; use is_one_to_one_general for non-square maps$"):
         is_invertible_square(F)
+
+
+def test_goe_rejects_non_square_and_names_coi():
+    uni = mask_of(range(1))
+    F = BoolMap.of([Anf.variable(0, uni), Anf.one(uni)], 1)
+    with pytest.raises(NonSquareMapError, match="^map has 1 inputs and 2 outputs; use coi for"):
+        goe(F)
+    assert coi(F).size == 2
 
 
 def test_goe_shift_map_empty():
