@@ -92,7 +92,7 @@ def _build_parser():
         ("invert", "decide invertibility of a square map"),
         ("goe", "outputs of a square map that have no preimage"),
         ("one2one", "decide injectivity for any map arity"),
-        ("coi", "complement of the image for m >= n maps"),
+        ("coi", "complement of the image for any map arity"),
         ("unique", "classify a system as none / unique / multiple solutions"),
         ("diag", "decide injectivity via the doubled-variable collision system"),
         ("permpoly", "decide whether a polynomial permutes its field"),
@@ -148,15 +148,20 @@ def _parse_args(argv: list[str] | None):
     return _read_argv(argv) or _build_parser().parse_args(argv)
 
 
+def _plain(s: str) -> bool:
+    """Whether ``json.dumps(s)`` only quotes ``s``: printable ASCII, no ``"`` or ``\\``."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
 def _encode_str(s: str) -> str:
     """``json.dumps(s)``; a ``TypeError`` for anything but a string.
 
-    A printable ASCII string without ``"`` or ``\\`` is only quoted.  Any
-    other goes to ``json``'s C encoder, which is imported only then.
+    A plain string is only quoted.  Any other goes to ``json``'s C
+    encoder, which is imported only then.
     """
     if not isinstance(s, str):
         raise TypeError(f"not a string: {type(s).__name__}")
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+    if _plain(s):
         return '"' + s + '"'
     from json.encoder import encode_basestring_ascii
 
@@ -181,7 +186,9 @@ def _json(value, indent: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)``, for str keys.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
-    set; here the layout is joined and each string goes to ``_encode_str``.
+    set; here the layout is joined and each string goes to ``_encode_str``,
+    except in a list of strings that are plain together, which is quoted
+    in one join.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -196,8 +203,12 @@ def _json(value, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         try:
-            body = ("," + inner).join(map(_encode_str, value))  # a list of strings
+            plain = _plain("".join(value))  # a list of strings, each of them plain
         except TypeError:
+            plain = False
+        if plain:
+            body = '"' + ('",' + inner + '"').join(value) + '"'
+        else:
             body = ("," + inner).join([_json(v, inner) for v in value])
         return "[" + inner + body + indent + "]"
     if value is None:
@@ -235,7 +246,7 @@ def _witness_lines(witness, table: VarTable) -> list[str]:
 #: For each command that needs a square map, the advice for any other map.
 _NON_SQUARE = {
     "invert": "use one2one for non-square maps",
-    "goe": "use coi for maps with more outputs than inputs",
+    "goe": "use coi for non-square maps",
 }
 
 
@@ -358,7 +369,7 @@ def _run_permpoly(problem: Problem, args, cfg: EngineConfig):
     if not isinstance(problem, PolyProblem):
         raise ValueError("permpoly expects a polynomial file")
     check_term_points(problem.poly)
-    ok = is_permutation_polynomial(problem.poly, cfg)
+    ok = is_permutation_polynomial(problem.poly)
     body = {
         "field_degree": problem.spec.n,
         "modulus": format(problem.spec.modulus, "b"),

@@ -4,18 +4,22 @@ Field elements are coefficient bit vectors in the polynomial basis
 {1, a, ..., a^(n-1)} packed into ints (bit i = coefficient of a^i).
 A univariate polynomial over the field expands into n Boolean
 coordinate functions, and the polynomial permutes the field exactly
-when that square map is invertible.
+when that square map is invertible.  The graph cover of that map has
+one output word per field point, and the word is the packed value
+p(x), so the decision reads the value table directly: p permutes the
+field when its 2^n values are distinct.
 
-The expansion works on plain ints.  It builds exp/log tables of the
+The value table works on plain ints.  It builds exp/log tables of the
 multiplicative group from a primitive element, so each nonzero term
 c*X^e is worth ``exp[(log c + e*log x) mod (2^n - 1)]`` at every x != 0
-and the whole value table costs O(2^n) per term, whatever the degree.
-The values are written out as binary digits once, each output bit's
-truth table is a slice of them, and ``moebius``, the engine's
-bit-sliced binary Moebius transform inside one big int, turns it into
-ANF.  The oracle's list-based ``TruthTable.to_anf`` is the independent
-reference for it, and ``UniPoly.evaluate`` (Horner over ``FieldElem``)
-for the values; this module does not import the oracle.
+and the whole table costs O(2^n) per term, whatever the degree.
+``coordinate_functions`` lifts the same table to the Boolean map: the
+values are written out as binary digits once, each output bit's truth
+table is a slice of them, and ``moebius``, the engine's bit-sliced
+binary Moebius transform inside one big int, turns it into ANF.  The
+oracle's list-based ``TruthTable.to_anf`` is the independent reference
+for it, and ``UniPoly.evaluate`` (Horner over ``FieldElem``) for the
+values; this module does not import the oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from functools import lru_cache
 from itertools import compress
 
 from .algebra import Anf, Value, bit_flags, mask_of
-from .engine import EngineConfig, moebius
-from .maps import BoolMap, is_invertible_square
+from .engine import moebius
+from .maps import BoolMap
 
 #: Everything here enumerates 2**n field points; stay at desk scale.
 MAX_DEGREE = 16
@@ -188,7 +192,8 @@ class UniPoly(Value):
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "UniPoly":
-        return cls(spec, tuple(FieldElem(spec, v) for v in values))
+        zero = spec.zero()  # shared by every zero coefficient: X^e has e of them
+        return cls(spec, tuple(FieldElem(spec, v) if v else zero for v in values))
 
     @classmethod
     def monomial(cls, spec: FieldSpec, e: int, coeff: int = 1) -> "UniPoly":
@@ -291,6 +296,11 @@ def coordinate_functions(p: UniPoly) -> BoolMap:
     return BoolMap.of(coords, n)
 
 
-def is_permutation_polynomial(p: UniPoly, cfg: EngineConfig | None = None) -> bool:
-    """Whether x -> p(x) is a bijection of the field."""
-    return is_invertible_square(coordinate_functions(p), cfg).one_to_one
+def is_permutation_polynomial(p: UniPoly) -> bool:
+    """Whether x -> p(x) is a bijection of the field.
+
+    The values of p are the output words of ``coordinate_functions(p)``,
+    one per field point, so this is that square map's invertibility
+    verdict, read without the lift: all 2^n words must be distinct.
+    """
+    return len(set(_value_table(p))) == p.spec.order

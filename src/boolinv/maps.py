@@ -255,7 +255,7 @@ def goe(
 ) -> ComplementResult:
     """Outputs of a square map with no preimage; empty iff invertible."""
     if F.m_out != F.n_in:
-        raise NonSquareMapError(F.n_in, F.m_out, "use coi for maps with more outputs than inputs")
+        raise NonSquareMapError(F.n_in, F.m_out, "use coi for non-square maps")
     return _image_complement(F, cfg, max_points)
 
 
@@ -264,12 +264,7 @@ def coi(
     cfg: EngineConfig | None = None,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> ComplementResult:
-    """Complement of the image for m >= n; coincides with goe when m = n."""
-    if F.m_out < F.n_in:
-        raise ValueError(
-            f"complement-of-image analysis expects at least {F.n_in} outputs, "
-            f"got {F.m_out}"
-        )
+    """Complement of the image for any arity; coincides with goe when m = n."""
     return _image_complement(F, cfg, max_points)
 
 

@@ -222,19 +222,20 @@ def _spy_on_scans(monkeypatch):
 
 
 def test_permpoly_honours_bound(capsys, monkeypatch, tmp_path):
+    # the verdict reads the field's value table, which no bound shapes
     path = tmp_path / "f64.txt"
     widths, leaves = _spy_on_scans(monkeypatch)
     for poly, permutes in (("X^5", True), ("X^3 + X", False)):
         path.write_text(f"field: n=6\npoly: {poly}\n")
-        widths.clear()
-        code, doc = run_json(capsys, "permpoly", path)
-        assert (code, doc["permutation"]) == (0 if permutes else 1, permutes)
-        assert widths == [6]
-        for bound in (1, 2):
-            widths.clear()
-            assert run_json(capsys, "permpoly", path, "--bound", str(bound)) == (code, doc)
-            assert widths == [bound]  # 2^(6 - bound) chunks of one width
-    assert leaves == []
+        for fmt in ("text", "json"):
+            expected = run(capsys, "permpoly", path, "--format", fmt)
+            assert expected[0] == (0 if permutes else 1)
+            for bound in (1, 2, 20):
+                got = run(capsys, "permpoly", path, "--bound", str(bound), "--format", fmt)
+                assert got[:2] == expected[:2], (fmt, bound)  # exit code and stdout
+    for bound in ("0", "21"):  # still refused before the file is read
+        assert run(capsys, "permpoly", tmp_path / "missing.txt", "--bound", bound)[:2] == (2, "")
+    assert widths == leaves == []
 
 
 def test_map_verdicts_make_no_leaf_terms_at_any_bound(capsys, monkeypatch, tmp_path):
@@ -247,10 +248,8 @@ def test_map_verdicts_make_no_leaf_terms_at_any_bound(capsys, monkeypatch, tmp_p
 
     map10 = write_map("map10.txt", random_map_coords(random.Random(10), 10, 10, max_degree=2), 10)
     perm14 = write_map("perm14.txt", random_permutation_coords(random.Random(14), 14), 14)
-    field = tmp_path / "f1024.txt"
-    field.write_text("field: n=10\npoly: X^7 + X^3\n")
     widths, leaves = _spy_on_scans(monkeypatch)
-    cases = (("invert", map10, 10), ("goe", map10, 10), ("permpoly", field, 10), ("invert", perm14, 14))
+    cases = (("invert", map10, 10), ("goe", map10, 10), ("invert", perm14, 14))
     for command, path, n in cases:
         widths.clear()
         expected = run(capsys, command, path)
@@ -382,7 +381,7 @@ def test_error_exits(capsys, tmp_path):
 NARROW = "vars: a b\ny = 1\n"  # 2 inputs, 1 output
 WIDE = "vars: a\ny1 = a\ny2 = 1\n"  # 1 input, 2 outputs
 TO_ONE2ONE = "use one2one for non-square maps"
-TO_COI = "use coi for maps with more outputs than inputs"
+TO_COI = "use coi for non-square maps"
 
 
 @pytest.mark.parametrize(
@@ -390,7 +389,7 @@ TO_COI = "use coi for maps with more outputs than inputs"
     [
         (NARROW, "invert", f"map has 2 inputs and 1 outputs; {TO_ONE2ONE}", 1),
         (WIDE, "invert", f"map has 1 inputs and 2 outputs; {TO_ONE2ONE}", 0),
-        (NARROW, "goe", f"map has 2 inputs and 1 outputs; {TO_COI}", 2),
+        (NARROW, "goe", f"map has 2 inputs and 1 outputs; {TO_COI}", 0),
         (WIDE, "goe", f"map has 1 inputs and 2 outputs; {TO_COI}", 0),
     ],
 )
@@ -400,7 +399,7 @@ def test_non_square_refusal_names_the_command_that_applies(
     path = tmp_path / "map.txt"
     path.write_text(text)
     assert run(capsys, command, path) == (2, "", f"error: {error}\n")
-    # the named command decides the map, or refuses it too when it has fewer outputs
+    # the named command answers for the map
     advised = error.split("; use ")[1].split()[0]
     assert run(capsys, advised, path)[0] == advised_exit
 
@@ -744,7 +743,7 @@ def test_json_writer_quotes_plain_strings_and_escapes_the_rest():
         **{key: key for key in odd},
     }
     assert boolinv.cli._json(doc) == json.dumps(doc, indent=2)
-    # the list path tries the string encoder first and relies on this
+    # the list path joins the strings first, and a non-string fails there as here
     with pytest.raises(TypeError):
         boolinv.cli._encode_str(1)
 

@@ -196,10 +196,11 @@ def test_coi_tiny_constant_map():
     assert res.size == 3
 
 
-def test_coi_rejects_contracting_map():
+def test_coi_answers_contracting_map():
     uni = mask_of(range(2))
-    with pytest.raises(ValueError):
-        coi(BoolMap.of([Anf.variable(0, uni)], 2))
+    assert coi(BoolMap.of([Anf.variable(0, uni)], 2)).is_empty
+    res = coi(BoolMap.of([Anf.one(uni)], 2))
+    assert (res.size, res.image, res.points) == (1, (1,), (0,))
 
 
 def test_unique_solution_trivial_cases():

@@ -24,7 +24,13 @@ from boolinv.engine import (
     _leaf_scan,
     implicants,
 )
-from boolinv.gf2n import FieldSpec, UniPoly, _is_irreducible
+from boolinv.gf2n import (
+    FieldSpec,
+    UniPoly,
+    _is_irreducible,
+    coordinate_functions,
+    is_permutation_polynomial,
+)
 from boolinv.maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
@@ -33,6 +39,7 @@ from boolinv.maps import (
     _one_to_one_verdict,
     build_graph_system,
     graph_implicants,
+    is_invertible_square,
 )
 from boolinv.oracle import (
     _orthogonality_violation,
@@ -94,7 +101,7 @@ def _cube_point(cube: str, outputs: list[str]) -> int:
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(maps())
+@given(maps(narrow=True))
 def test_complement_matches_oracle(problem):
     F = problem.map
     m = F.m_out
@@ -320,6 +327,44 @@ def poly_problems(draw, max_degree=None):
     return PolyProblem(UniPoly.of(spec, values), spec)
 
 
+@st.composite
+def field_polys(draw):
+    """A polynomial over GF(2^n), n <= 8, under a random irreducible modulus.
+
+    Its shape is one of: a few terms of degree up to 3 * 2^n, so exponents
+    pass 2^n - 1; short and dense, every coefficient nonzero; a constant;
+    or zero.
+    """
+    n = draw(st.integers(1, 8))
+    moduli = [m for m in range(1 << n, 1 << (n + 1)) if _is_irreducible(m, n)]
+    spec = FieldSpec(n, draw(st.sampled_from(moduli)))
+    nonzero = st.integers(1, spec.order - 1)
+    shape = draw(st.sampled_from(("sparse", "dense", "constant", "zero")))
+    if shape == "sparse":
+        values = [0] * (3 * spec.order + 1)
+        for e in draw(st.lists(st.integers(0, 3 * spec.order), min_size=1, max_size=4)):
+            values[e] = draw(nonzero)
+    elif shape == "dense":
+        values = draw(st.lists(nonzero, min_size=1, max_size=min(spec.order, 16)))
+    else:
+        values = [draw(nonzero) if shape == "constant" else 0]
+    return UniPoly.of(spec, values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(field_polys())
+@example(UniPoly.monomial(FieldSpec(4, 0b11111), 7))  # x has order 5 here; X^7 permutes
+@example(UniPoly.monomial(FieldSpec(4, 0b11111), 3))  # gcd(3, 15) = 3
+@example(UniPoly.of(FieldSpec(4, 0b11111), [5, 0, 1, 0, 3]))
+def test_permutation_verdict_is_the_lifted_maps_verdict(p):
+    # the value table's distinct count against the square map of the lift, and
+    # both against Horner's rule at every point
+    spec = p.spec
+    image = {p.evaluate(spec.element(v)).value for v in range(spec.order)}
+    lifted = is_invertible_square(coordinate_functions(p)).one_to_one
+    assert is_permutation_polynomial(p) is lifted is (len(image) == spec.order)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.one_of(maps(narrow=True), system_problems(), poly_problems()))
 def test_format_then_parse_round_trips(problem):
@@ -362,7 +407,7 @@ def test_map_commands_print_the_same_bytes_at_every_bound(problem):
         commands = ["permpoly"]
     else:
         n, m = problem.map.n_in, problem.map.m_out
-        commands = ["one2one"] + ["invert", "goe"] * (m == n) + ["coi"] * (m >= n)
+        commands = ["one2one", "coi"] + ["invert", "goe"] * (m == n)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "problem.txt"
         path.write_text(format_problem(problem))
@@ -485,9 +530,24 @@ def test_variable_names_are_ascii_identifiers(name):
 _JSON_TEXT = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€𝄞'), st.characters()), max_size=8
 )
+#: strings that ``json.dumps`` only quotes, which the writer joins a list of at once
+_PLAIN_TEXT = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'), max_size=8
+)
+
+
+def _json_containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=5),
+        # plain strings mixed with escaped strings and non-strings
+        st.lists(st.one_of(_PLAIN_TEXT, inner), max_size=5),
+        st.dictionaries(_JSON_TEXT, inner, max_size=5),
+    )
+
+
 _JSON_DOCS = st.recursive(
-    st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none()),
-    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(), st.lists(_PLAIN_TEXT, max_size=5)),
+    _json_containers,
     max_leaves=20,
 )
 
