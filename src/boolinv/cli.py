@@ -281,13 +281,14 @@ def _run_implicants(problem: Problem, args, cfg: EngineConfig):
 
 def _run_verdict(problem: Problem, args, cfg: EngineConfig):
     F, table = _need_map(problem, args.command)
-    # built per call from the module globals, so a rebound global is the one called
-    decide = {
-        "invert": is_invertible_square,
-        "one2one": is_one_to_one_general,
-        "diag": is_one_to_one_diagonal,
-    }[args.command]
-    verdict = decide(F, cfg)
+    # the module globals are looked up per call, so a rebound global is the one called;
+    # only the collision cover of diag takes the engine setting
+    if args.command == "diag":
+        verdict = is_one_to_one_diagonal(F, cfg)
+    elif args.command == "invert":
+        verdict = is_invertible_square(F)
+    else:
+        verdict = is_one_to_one_general(F)
     body = {
         "inputs": list(table.inputs),
         "outputs": list(table.outputs),
@@ -325,7 +326,7 @@ def _word_rows(words, cells, sep: str) -> list[str]:
 def _run_complement(problem: Problem, args, cfg: EngineConfig):
     F, table = _need_map(problem, args.command)
     fn = goe if args.command == "goe" else coi
-    res = fn(F, cfg, max_points=args.max_enum)
+    res = fn(F, max_points=args.max_enum)
     # character j of a point is y_j; a parsed map has at least one output
     points = None
     if res.points is not None:

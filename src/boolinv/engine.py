@@ -30,10 +30,10 @@ points, whatever its number of outputs, and the bound counts scanned
 variables, not the support.  The map verdicts need no terms at all.
 The solved columns of a graph system are the truth tables of the map's
 coordinates, so ``_functional_scan`` scans the coordinates themselves
-and transposes their tables into one output word per point.  Past the
-bound it scans in chunks, one per point of the lowest read variables,
-and gives the same words in the same order, so the map verdicts do not
-depend on the bound.
+and transposes their tables into one output word per point.  The map
+verdicts call it with ``DEFAULT_BOUND``: a map reading k > 12 inputs is
+scanned in 2**(k - 12) chunks, one per point of its lowest read
+variables, and the words come out as those of one scan.
 The decomposition collects its terms unordered and the top level sorts
 them once, so output order is canonical.
 """
@@ -248,18 +248,19 @@ def _functional_scan(coords: tuple[Anf, ...], bound: int) -> list[int]:
     f_j(X) + y_j + 1 fixes y_j = f_j(x), and the points come in
     canonical term order.  No ``Term`` is made.
 
-    The scan runs in chunks: for each point of the lowest read variables
-    past ``bound``, in canonical order, the others are scanned in the
-    coordinates cofactored by it.  Those seed variables are the most
-    significant digits of the point order, so the chunks give the words
-    of one scan, element for element.  The cofactors are made one seed
-    variable at a time on a stack, so chunks share those of their common
-    prefix.
+    The scan runs in chunks of 2**``bound`` points when the coordinates
+    read more than ``bound`` (1..MAX_BOUND) variables: for each point of
+    the lowest read variables past ``bound``, in canonical order, the
+    others are scanned in the coordinates cofactored by it.  Those seed
+    variables are the most significant digits of the point order, so the
+    chunks give the words of one scan, element for element, at every
+    width.  The cofactors are made one seed variable at a time on a
+    stack, so chunks share those of their common prefix.
     """
     scanned = 0
     for f in coords:
         scanned |= f.support
-    seed_vars = vars_of(scanned)[: max(0, scanned.bit_count() - min(bound, MAX_BOUND))]
+    seed_vars = vars_of(scanned)[: max(0, scanned.bit_count() - bound)]
     rest = scanned & ~mask_of(seed_vars)
     points, lo, index_bit = _scan_points(rest, rest.bit_count())
     words: list[int] = []

@@ -8,10 +8,11 @@ r_i(X)·s_i(Y), an input cube times one output point.  Since h_i fixes
 y_i = f_i(x), the cover has one term per point x of the inputs the map
 reads, in canonical order, with output point F(x); the inputs it does
 not read are free in every term.  The verdicts read only the output
-words, y_j at bit j as ``BoolMap.evaluate`` packs them.  At every bound
-the engine's functional scan of the coordinates gives them, in chunks
-when the map reads more inputs than the bound, without building the
-graph system or making terms.  Injectivity counts the distinct words.
+words, y_j at bit j as ``BoolMap.evaluate`` packs them.  The engine's
+functional scan of the coordinates gives them, in chunks of at most
+2^DEFAULT_BOUND points, without building the graph system or making
+terms, so the verdicts take no engine setting.  Injectivity counts the
+distinct words.
 On a shortfall it names the points of the first repeated word, found
 from the words' indices, or else point 0 and the point that differs
 from it in the lowest free input.  The complement is answered in
@@ -173,18 +174,7 @@ def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSe
     return cover
 
 
-def _graph_columns(F: BoolMap, cfg: EngineConfig | None) -> list[int]:
-    """The output word of each graph-cover term, in canonical order.
-
-    The graph factor f_j + y_j + 1 fixes y_j = f_j(x), so the cover has
-    one term per point of the inputs the map reads, and its word is
-    F(x): the functional scan of the coordinates, in chunks past the
-    bound.  Every input the map does not read is free in every term.
-    """
-    return _functional_scan(F.coords, cfg.base_bound_m if cfg else DEFAULT_BOUND)
-
-
-def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
+def _one_to_one_verdict(F: BoolMap) -> Verdict:
     """Count the distinct output points; on a shortfall, name a collision.
 
     Two terms sharing one output point have disjoint input cubes by
@@ -192,7 +182,7 @@ def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
     wins.  Otherwise, when the map ignores an input, the first cube,
     that of point 0, collides within itself on its lowest free input.
     """
-    words = _graph_columns(F, cfg)
+    words = _functional_scan(F.coords, DEFAULT_BOUND)
     count = len(set(words))
     if count == 1 << F.n_in:
         return Verdict(True, None, count)
@@ -215,28 +205,26 @@ def _one_to_one_verdict(F: BoolMap, cfg: EngineConfig | None) -> Verdict:
     return Verdict(False, witness, count)
 
 
-def is_invertible_square(F: BoolMap, cfg: EngineConfig | None = None) -> Verdict:
+def is_invertible_square(F: BoolMap) -> Verdict:
     """Bijectivity of a square map: all 2^n output minterms must appear."""
     if F.m_out != F.n_in:
         raise NonSquareMapError(F.n_in, F.m_out, "use is_one_to_one_general for non-square maps")
-    return _one_to_one_verdict(F, cfg)
+    return _one_to_one_verdict(F)
 
 
-def is_one_to_one_general(F: BoolMap, cfg: EngineConfig | None = None) -> Verdict:
+def is_one_to_one_general(F: BoolMap) -> Verdict:
     """Injectivity for any arity: 2^n distinct output minterms required.
 
     With m < n the count cannot reach 2^n, so the verdict is negative a
-    priori; the cover is still built to extract the witness pair and
+    priori; the output words are still scanned for the witness pair and
     the distinct-minterm count.
     """
-    return _one_to_one_verdict(F, cfg)
+    return _one_to_one_verdict(F)
 
 
-def _image_complement(
-    F: BoolMap, cfg: EngineConfig | None, max_points: int
-) -> ComplementResult:
+def _image_complement(F: BoolMap, max_points: int) -> ComplementResult:
     m = F.m_out
-    words = set(_graph_columns(F, cfg))
+    words = set(_functional_scan(F.coords, DEFAULT_BOUND))
     if (1 << m) > max_points:
         row = f"0{m}b"
         image = tuple(sorted(words, key=lambda w: format(w, row)[::-1]))
@@ -248,24 +236,16 @@ def _image_complement(
     return ComplementResult(size=len(points), image=image, points=points)
 
 
-def goe(
-    F: BoolMap,
-    cfg: EngineConfig | None = None,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> ComplementResult:
+def goe(F: BoolMap, max_points: int = DEFAULT_MAX_POINTS) -> ComplementResult:
     """Outputs of a square map with no preimage; empty iff invertible."""
     if F.m_out != F.n_in:
         raise NonSquareMapError(F.n_in, F.m_out, "use coi for non-square maps")
-    return _image_complement(F, cfg, max_points)
+    return _image_complement(F, max_points)
 
 
-def coi(
-    F: BoolMap,
-    cfg: EngineConfig | None = None,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> ComplementResult:
+def coi(F: BoolMap, max_points: int = DEFAULT_MAX_POINTS) -> ComplementResult:
     """Complement of the image for any arity; coincides with goe when m = n."""
-    return _image_complement(F, cfg, max_points)
+    return _image_complement(F, max_points)
 
 
 def unique_solution(

@@ -239,7 +239,8 @@ def test_permpoly_honours_bound(capsys, monkeypatch, tmp_path):
 
 
 def test_map_verdicts_make_no_leaf_terms_at_any_bound(capsys, monkeypatch, tmp_path):
-    # at every bound the verdicts read the scan's output words, made without terms
+    # the verdicts read the output words of one scan of width min(n, 12), made
+    # without terms, and no bound changes it
     def write_map(name, coords, n):
         names = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
         path = tmp_path / name
@@ -255,10 +256,10 @@ def test_map_verdicts_make_no_leaf_terms_at_any_bound(capsys, monkeypatch, tmp_p
         expected = run(capsys, command, path)
         assert expected[0] in (0, 1), command
         assert widths == [min(n, boolinv.engine.DEFAULT_BOUND)], command
-        for bound in (2, 20):
+        for bound in (1, 2, 20):
             widths.clear()
             got = run(capsys, command, path, "--bound", str(bound))
-            assert widths == [min(n, bound)], (command, bound)
+            assert widths == [min(n, boolinv.engine.DEFAULT_BOUND)], (command, bound)
             assert got[:2] == expected[:2], (command, bound)  # exit code and stdout
     assert leaves == []
 

@@ -14,7 +14,6 @@ from boolinv.algebra import (
     mask_of,
     submasks,
 )
-from boolinv.engine import EngineConfig
 from boolinv.maps import (
     BoolMap,
     NonSquareMapError,
@@ -255,12 +254,11 @@ def test_repeated_output_wins_over_an_earlier_free_cube():
     uni = mask_of(range(3))
     x1, x2 = Anf.variable(0, uni), Anf.variable(1, uni)
     F = BoolMap.of([x1 * x2, Anf.zero(uni), Anf.zero(uni)], 3)
-    for bound in (1, 12):
-        v = is_one_to_one_general(F, EngineConfig(bound))
-        assert not v.one_to_one
-        assert v.y_minterm_count == 2
-        assert [a.trues for a in v.witness] == [0b000, 0b010]  # x2 = 1 repeats x = 0
-        assert all(a.universe == F.x_universe for a in v.witness)
+    v = is_one_to_one_general(F)
+    assert not v.one_to_one
+    assert v.y_minterm_count == 2
+    assert [a.trues for a in v.witness] == [0b000, 0b010]  # x2 = 1 repeats x = 0
+    assert all(a.universe == F.x_universe for a in v.witness)
 
 
 def test_free_cube_witness_sets_its_lowest_free_input():
@@ -268,25 +266,26 @@ def test_free_cube_witness_sets_its_lowest_free_input():
     uni = mask_of(range(4))
     x1, x4 = Anf.variable(0, uni), Anf.variable(3, uni)
     F = BoolMap.of([x1, x4, x1 ^ x4, Anf.zero(uni)], 4)
-    for bound in (1, 12):
-        v = is_one_to_one_general(F, EngineConfig(bound))
-        assert not v.one_to_one
-        assert v.y_minterm_count == 4
-        assert [a.trues for a in v.witness] == [0b0000, 0b0010]
-        assert all(a.universe == F.x_universe for a in v.witness)
+    v = is_one_to_one_general(F)
+    assert not v.one_to_one
+    assert v.y_minterm_count == 4
+    assert [a.trues for a in v.witness] == [0b0000, 0b0010]
+    assert all(a.universe == F.x_universe for a in v.witness)
 
 
-def test_collision_in_a_later_chunk_names_the_points_brute_force_does():
+def test_collision_in_a_later_chunk_names_the_points_brute_force_does(monkeypatch):
     # y1 = x1 + x1 x2 + x1 x2 x3 is 0 at x1 x2 x3 = 110, the output of 010 repeated;
-    # at bound 1 the chunks fix x1 x2: 010 is in the second of four, 110 in the last
+    # in chunks of width 1 the chunks fix x1 x2: 010 is in the second of four, 110
+    # in the last
     uni = mask_of(range(3))
     x1, x2, x3 = (Anf.variable(v, uni) for v in range(3))
     F = BoolMap.of([x1 ^ x1 * x2 ^ x1 * x2 * x3, x2, x3], 3)
     injective, expected = brute_injective(F)
     assert not injective and [a.trues for a in expected] == [0b010, 0b011]
-    for bound in (1, 2, 12):
-        v = is_one_to_one_general(F, EngineConfig(bound))
-        assert (v.one_to_one, v.witness, v.y_minterm_count) == (False, expected, 7), bound
+    for width in (1, 2, 12):  # the verdict scans in chunks of 2**DEFAULT_BOUND points
+        monkeypatch.setattr(boolinv.maps, "DEFAULT_BOUND", width)
+        v = is_one_to_one_general(F)
+        assert (v.one_to_one, v.witness, v.y_minterm_count) == (False, expected, 7), width
 
 
 def test_missing_outputs_without_a_collision_is_an_engine_defect(monkeypatch):

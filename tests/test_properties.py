@@ -17,6 +17,7 @@ from boolinv import parsing
 from boolinv.algebra import Anf, Assignment, BoolSystem, Term, mask_of, submasks, vars_of
 from boolinv.cli import _HANDLERS, _json, main
 from boolinv.engine import (
+    DEFAULT_BOUND,
     MAX_BOUND,
     EngineConfig,
     _factor_table,
@@ -34,7 +35,6 @@ from boolinv.gf2n import (
 from boolinv.maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
-    _graph_columns,
     _image_complement,
     _one_to_one_verdict,
     build_graph_system,
@@ -159,7 +159,7 @@ def test_leaf_words_are_the_same_at_every_bound(F):
     k = read.bit_count()
     words = _functional_scan(F.coords, k)
     assert words == [F.evaluate(Assignment(F.x_universe, x)) for x in submasks(read)]
-    verdict = _one_to_one_verdict(F, None)
+    verdict = _one_to_one_verdict(F)
     injective, _ = brute_injective(F)
     assert verdict.one_to_one == injective
     if not injective:
@@ -167,16 +167,13 @@ def test_leaf_words_are_the_same_at_every_bound(F):
         assert a != b and F.evaluate(a) == F.evaluate(b)
     image = brute_image(F)
     assert verdict.y_minterm_count == len(image)
-    complement = _image_complement(F, None, DEFAULT_MAX_POINTS)
+    complement = _image_complement(F, DEFAULT_MAX_POINTS)
     assert set(complement.image) == image and len(complement.image) == len(image)
     assert complement.size == (1 << F.m_out) - len(image)
     if complement.points is not None:
         assert set(complement.points) == set(range(1 << F.m_out)) - image
     for bound in range(1, k + 1):  # chunks of every width
         assert _functional_scan(F.coords, bound) == words, bound
-        cfg = EngineConfig(bound)
-        assert _one_to_one_verdict(F, cfg) == verdict, bound
-        assert _image_complement(F, cfg, DEFAULT_MAX_POINTS) == complement, bound
 
 
 @st.composite
@@ -194,7 +191,8 @@ def test_verdict_words_are_the_graph_cover(F):
     n = F.n_in
     read = build_graph_system(F).support & F.x_universe
     fixed = read | F.y_universe
-    minterms = [x | y << n for x, y in zip(submasks(read), _graph_columns(F, None))]
+    words = _functional_scan(F.coords, DEFAULT_BOUND)
+    minterms = [x | y << n for x, y in zip(submasks(read), words)]
     assert graph_implicants(F).terms == tuple(Term(t, fixed ^ t) for t in minterms)
 
 
