@@ -75,8 +75,8 @@ def _build_parser():
     common.add_argument("file", help="problem file (map, system, or polynomial)")
     common.add_argument(
         "--bound", type=int, default=DEFAULT_BOUND, metavar="M",
-        help="max number of variables one leaf scan enumerates "
-        f"(default {DEFAULT_BOUND}, at most {MAX_BOUND})",
+        help="max number of variables one leaf scan of implicants, unique or diag "
+        f"enumerates (default {DEFAULT_BOUND}, at most {MAX_BOUND})",
     )
     common.add_argument(
         "--format", choices=_FORMATS, default="text",

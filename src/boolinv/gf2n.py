@@ -7,7 +7,9 @@ coordinate functions, and the polynomial permutes the field exactly
 when that square map is invertible.  The graph cover of that map has
 one output word per field point, and the word is the packed value
 p(x), so the decision reads the value table directly: p permutes the
-field when its 2^n values are distinct.
+field when its 2^n values are distinct.  A ``UniPoly`` holds only its
+nonzero terms, so a polynomial costs O(terms) to build and to read,
+whatever its degree.
 
 The value table works on plain ints.  It builds exp/log tables of the
 multiplicative group from a primitive element, so each nonzero term
@@ -44,10 +46,6 @@ MAX_TERM_POINTS = 1 << 24
 MAX_ORACLE_TERM_POINTS = 1 << 20
 
 
-def _poly_deg(p: int) -> int:
-    return p.bit_length() - 1
-
-
 def _clmul(a: int, b: int) -> int:
     acc = 0
     while b:
@@ -59,9 +57,9 @@ def _clmul(a: int, b: int) -> int:
 
 
 def _poly_mod(a: int, m: int) -> int:
-    dm = _poly_deg(m)
-    while _poly_deg(a) >= dm and a:
-        a ^= m << (_poly_deg(a) - dm)
+    dm = m.bit_length()
+    while (da := a.bit_length()) >= dm:
+        a ^= m << (da - dm)
     return a
 
 
@@ -71,7 +69,7 @@ def _is_irreducible(m: int, n: int) -> bool:
     ``m`` has constant term 1, so x does not divide it, and neither does
     any multiple of x: an even polynomial.
     """
-    if _poly_deg(m) != n or not m & 1:
+    if m.bit_length() != n + 1 or not m & 1:
         return False
     for d in range(1, n // 2 + 1):
         for g in range((1 << d) | 1, 1 << (d + 1), 2):
@@ -169,40 +167,50 @@ def _default_spec(n: int) -> FieldSpec:
 
 
 class UniPoly(Value):
-    """Univariate polynomial; coefficient index = exponent.
+    """Univariate polynomial held as its nonzero terms.
 
-    Trailing zero coefficients are dropped.  ``terms``, the nonzero
-    ``(exponent, coefficient)`` pairs in rising exponent, is computed
-    once on construction and is not a field.
+    ``terms`` lists the nonzero ``(exponent, coefficient)`` pairs in
+    rising exponent, so a polynomial costs O(terms) whatever its degree.
+    ``coefficients``, the dense tuple indexed by exponent, is derived on
+    each read and is not a field.
     """
 
-    __slots__ = ("spec", "coefficients", "terms")
+    __slots__ = ("spec", "terms")
     spec: FieldSpec
-    coefficients: tuple[FieldElem, ...]
+    terms: tuple[tuple[int, FieldElem], ...]
 
-    def __init__(self, spec: FieldSpec, coefficients: tuple[FieldElem, ...]):
-        for c in coefficients:
-            if c.spec != spec:
+    def __init__(self, spec: FieldSpec, terms: tuple[tuple[int, FieldElem], ...]):
+        terms, above = tuple(terms), -1
+        for e, c in terms:
+            if not (c.spec is spec or c.spec == spec):
                 raise ValueError("coefficient from a different field")
-        terms = tuple((e, c) for e, c in enumerate(coefficients) if not c.is_zero)
-        degree = terms[-1][0] if terms else -1
+            if e <= above or not c.value:
+                raise ValueError("terms must be nonzero and in rising exponent")
+            above = e
         self._set("spec", spec)
-        self._set("coefficients", coefficients[: degree + 1])
         self._set("terms", terms)
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "UniPoly":
-        zero = spec.zero()  # shared by every zero coefficient: X^e has e of them
-        return cls(spec, tuple(FieldElem(spec, v) if v else zero for v in values))
+        """The polynomial with coefficient ``values[e]`` at X^e."""
+        return cls(spec, tuple((e, FieldElem(spec, v)) for e, v in enumerate(values) if v))
 
     @classmethod
     def monomial(cls, spec: FieldSpec, e: int, coeff: int = 1) -> "UniPoly":
-        return cls.of(spec, [0] * e + [coeff])
+        return cls(spec, ((e, FieldElem(spec, coeff)),) if coeff else ())
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return self.terms[-1][0] if self.terms else -1
+
+    @property
+    def coefficients(self) -> tuple[FieldElem, ...]:
+        """Every coefficient up to the degree, zeros included."""
+        dense = [self.spec.zero()] * (self.degree + 1)
+        for e, c in self.terms:
+            dense[e] = c
+        return tuple(dense)
 
     def evaluate(self, x: FieldElem) -> FieldElem:
         """Horner's rule over the nonzero terms.
@@ -229,21 +237,31 @@ def _exp_log(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Powers of a primitive element, and their inverse (log[0] is unused).
 
     The element x is not primitive for every irreducible modulus (under
-    0b11111 it has order 5), so the candidates are tried in turn.  The
-    tables are cached per field, so they are tuples that no caller can
-    change.
+    0b11111 it has order 5), so the candidates 1, 2, 3, ... are tried in
+    turn.  A candidate g has order 2^n - 1 exactly when g^((2^n - 1)/p)
+    is not 1 for any prime p dividing 2^n - 1, so only the first one that
+    passes has its powers walked.  The tables are cached per field, so
+    they are tuples that no caller can change.
     """
     q = spec.order - 1
-    for g in range(1, spec.order):
-        exp = [1]
-        y = g
-        while y != 1:
-            exp.append(y)
-            y = _poly_mod(_clmul(y, g), spec.modulus)
-        if len(exp) == q:
+    primes, rest = [], q
+    for p in range(2, q + 1):
+        if p * p > rest:
             break
-    else:
-        raise AssertionError("unreachable: the multiplicative group is cyclic")
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        primes.append(rest)
+    one = spec.one()
+    g = next(
+        g for g in range(1, spec.order) if all(spec.element(g) ** (q // p) != one for p in primes)
+    )
+    exp, y = [1], g
+    while y != 1:
+        exp.append(y)
+        y = _poly_mod(_clmul(y, g), spec.modulus)
     log = [0] * spec.order
     for i, y in enumerate(exp):
         log[y] = i
@@ -269,7 +287,7 @@ def _value_table(p: UniPoly) -> list[int]:
         if e:
             lc, step = log[c.value], e % q
             by_log = [y ^ exp[(lc + step * i) % q] for i, y in enumerate(by_log)]
-    c0 = p.coefficients[0].value if p.coefficients else 0
+    c0 = p.terms[0][1].value if p.terms and not p.terms[0][0] else 0
     values = [c0] * spec.order
     for i, y in enumerate(by_log):
         values[exp[i]] ^= y

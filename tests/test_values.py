@@ -14,6 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term
+from boolinv.cli import main
 from boolinv.engine import DEFAULT_BOUND, ClusterPlan, EngineConfig
 from boolinv.gf2n import MAX_DEGREE, FieldElem, FieldSpec, UniPoly
 from boolinv.maps import (
@@ -34,7 +35,7 @@ SPEC = FieldSpec(2, 0b111)
 E1, E3 = FieldElem(SPEC, 1), FieldElem(SPEC, 3)
 MAP = BoolMap((F, G), 2)
 SYSTEM = BoolSystem((F,), 3)
-POLY = UniPoly(SPEC, (E1, E3))
+POLY = UniPoly(SPEC, ((0, E1), (1, E3)))
 TABLE = VarTable(("a", "b", "y0", "y1"), 2)
 
 R_F = "Anf(monomials=frozenset({1, 3}), universe=3)"
@@ -126,10 +127,15 @@ ROWS = [
         errors=(((SPEC, 4), "value 4 outside the field of 4"),),
     ),
     Row(
-        UniPoly, ("spec", "coefficients"), (SPEC, (E1, E3)), (SPEC, (E3, E1)),
-        f"UniPoly(spec={R_SPEC}, coefficients=(FieldElem(spec={R_SPEC}, value=1), "
-        f"FieldElem(spec={R_SPEC}, value=3)))",
-        errors=(((SPEC, (FieldElem(FieldSpec(3, 0b1011), 1),)), "coefficient from a different field"),),
+        UniPoly, ("spec", "terms"), (SPEC, ((0, E1), (1, E3))), (SPEC, ((0, E3), (1, E1))),
+        f"UniPoly(spec={R_SPEC}, terms=((0, FieldElem(spec={R_SPEC}, value=1)), "
+        f"(1, FieldElem(spec={R_SPEC}, value=3))))",
+        errors=(
+            ((SPEC, ((0, FieldElem(FieldSpec(3, 0b1011), 1)),)), "coefficient from a different field"),
+            ((SPEC, ((1, E1), (0, E3))), "terms must be nonzero and in rising exponent"),
+            ((SPEC, ((0, E1), (0, E3))), "terms must be nonzero and in rising exponent"),
+            ((SPEC, ((1, FieldElem(SPEC, 0)),)), "terms must be nonzero and in rising exponent"),
+        ),
     ),
     Row(TruthTable, ("bits", "universe"), (6, 3), (6, 7), "TruthTable(bits=6, universe=3)"),
     Row(
@@ -154,7 +160,7 @@ ROWS = [
         f"SystemProblem(system={SYSTEM!r}, table={TABLE!r})",
     ),
     Row(
-        PolyProblem, ("poly", "spec"), (POLY, SPEC), (UniPoly(SPEC, (E3,)), SPEC),
+        PolyProblem, ("poly", "spec"), (POLY, SPEC), (UniPoly(SPEC, ((0, E3),)), SPEC),
         f"PolyProblem(poly={POLY!r}, spec={R_SPEC})",
     ),
 ]
@@ -228,7 +234,28 @@ def test_derived_attributes_stay_out_of_the_fields():
     # the map's coordinates take its input universe
     assert BoolMap((Anf(frozenset({1}), 1),), 2) == BoolMap((Anf(frozenset({1}), 3),), 2)
     assert BoolMap((Anf(frozenset({1}), 1),), 2).coords[0].universe == 3
-    # trailing zero coefficients are dropped; the nonzero terms are derived
-    trimmed = UniPoly(SPEC, (E1, E3, FieldElem(SPEC, 0)))
-    assert trimmed == POLY and trimmed.coefficients == (E1, E3)
-    assert trimmed.terms == ((0, E1), (1, E3)) and "terms" not in repr(trimmed)
+    # the dense coefficients are derived from the nonzero terms, zeros included
+    sparse = UniPoly(SPEC, ((1, E3), (3, E1)))
+    assert sparse.coefficients == (SPEC.zero(), E3, SPEC.zero(), E1)
+    assert "coefficients" not in repr(sparse) and sparse.degree == 3
+    with pytest.raises(AttributeError):
+        sparse.coefficients = ()
+    assert POLY.coefficients == (E1, E3) and UniPoly.of(SPEC, [1, 3, 0, 0]) == POLY
+    assert UniPoly(SPEC, ()).coefficients == () and UniPoly(SPEC, ()).degree == -1
+
+
+def test_permpoly_never_reads_the_dense_coefficients(tmp_path, monkeypatch, capsys):
+    def refuse(poly):
+        raise AssertionError("the dense coefficients were read")
+
+    monkeypatch.setattr(UniPoly, "coefficients", property(refuse))
+    path = tmp_path / "poly.txt"
+    for text, answer in (
+        ("field: n=4\npoly: X^1000000 + 3*X^15 + X^0\n", "no"),
+        ("field: n=3 modulus=1011\npoly: 5*X^6 + X^0\n", "yes"),
+        ("field: n=16\npoly: X^65534\n", "yes"),
+    ):
+        path.write_text(text)
+        assert main(["permpoly", str(path)]) in (0, 1)
+        out, err = capsys.readouterr()
+        assert out == f"permutation: {answer}\n", err
