@@ -181,7 +181,12 @@ class UniPoly(Value):
 
     def __init__(self, spec: FieldSpec, terms: tuple[tuple[int, FieldElem], ...]):
         terms, above = tuple(terms), -1
-        for e, c in terms:
+        for term in terms:
+            if type(term) is not tuple or len(term) != 2:
+                raise ValueError(
+                    "terms must be (exponent, FieldElem) pairs; use UniPoly.of for dense coefficients"
+                )
+            e, c = term
             if not (c.spec is spec or c.spec == spec):
                 raise ValueError("coefficient from a different field")
             if e <= above or not c.value:

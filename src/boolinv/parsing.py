@@ -10,11 +10,6 @@ coefficients are hex bit vectors in the basis packing, `X` is the
 reserved indeterminate.  An exponent e > 0 is stored as
 (e - 1) mod (2^n - 1) + 1, which gives the same function on the field,
 and a polynomial holds only its nonzero terms, at most 2^n of them.
-
-Every line kind is first split on its operators or on whitespace, and
-each token looked up or tested by its characters.  A line that does
-not split cleanly goes through the token scanner, the only code that
-reports an error, with its line and column.
 """
 
 from __future__ import annotations
@@ -187,55 +182,8 @@ def _scan_anf(
     return monomials
 
 
-#: the digits of a coefficient, which the split path tests character by character
-_HEX = frozenset("0123456789abcdefABCDEF")
-
-
 def _parse_poly(body: str, offset: int, lineno: int, spec: FieldSpec) -> UniPoly:
-    """The polynomial of a `+`-sum of `*`-products of a coefficient and X^e.
-
-    Like ``_parse_anf``, the body is split on its operators and each
-    token tested by its characters, so the split succeeds exactly on a
-    well-formed polynomial.  Any other goes through ``_scan_poly``,
-    which places the error.
-    """
-    pairs = _split_poly(body, spec.order) or _scan_poly(body, offset, lineno, spec.order)
-    q = spec.order - 1
     coeffs: dict[int, int] = {}
-    for e, c in pairs:
-        if e:  # x^(2^n) = x at every field point, so X^e is this same function
-            e = (e - 1) % q + 1
-        coeffs[e] = coeffs.get(e, 0) ^ c  # repeated exponents add in the field
-    return UniPoly(spec, tuple((e, FieldElem(spec, c)) for e, c in sorted(coeffs.items()) if c))
-
-
-def _split_poly(body: str, order: int) -> list[tuple[int, int]] | None:
-    """``(exponent, coefficient)`` per product, or None for the scanner."""
-    pairs = []
-    try:
-        for product in body.split("+"):
-            c = e = None
-            for tok in product.split("*"):
-                tok = tok.strip()
-                if e is None and tok == "X":
-                    e = 1
-                elif e is None and tok[:2] == "X^" and tok[2:].isascii() and tok[2:].isdigit():
-                    e = int(tok[2:])
-                elif c is None and tok and _HEX.issuperset(tok):
-                    c = int(tok, 16)
-                else:  # an empty or malformed token, or a second X or coefficient
-                    return None
-            if c is not None and c >= order:
-                return None
-            pairs.append((e or 0, 1 if c is None else c))
-    except ValueError:  # an exponent past the interpreter's int-string digit limit
-        return None
-    return pairs
-
-
-def _scan_poly(body: str, offset: int, lineno: int, order: int) -> list[tuple[int, int]]:
-    """``_split_poly`` through the token scanner, with every error's column."""
-    pairs = []
     for operands, end in _products(body, offset, lineno, _POLY_TOKEN, "polynomial"):
         c = e = None
         for kind, tok, col in operands:
@@ -253,45 +201,16 @@ def _scan_poly(body: str, offset: int, lineno: int, order: int) -> list[tuple[in
                         f"exponent of {len(tok) - 2} digits is too long", lineno, col
                     ) from None
         c = 1 if c is None else c
-        if c >= order:
-            raise ParseError(f"coefficient {c:#x} outside the field of {order}", lineno, end)
-        pairs.append((0 if e is None else e, c))
-    return pairs
+        e = 0 if e is None else e
+        if c >= spec.order:
+            raise ParseError(f"coefficient {c:#x} outside the field of {spec.order}", lineno, end)
+        if e:  # x^(2^n) = x at every field point, so X^e is this same function
+            e = (e - 1) % (spec.order - 1) + 1
+        coeffs[e] = coeffs.get(e, 0) ^ c  # repeated exponents add in the field
+    return UniPoly(spec, tuple((e, FieldElem(spec, c)) for e, c in sorted(coeffs.items()) if c))
 
 
 def _parse_field(body: str, offset: int, lineno: int) -> FieldSpec:
-    """The field of `n=<degree>` and an optional `modulus=<binary>`."""
-    n, modulus = _split_field(body) or _scan_field(body, offset, lineno)
-    try:
-        return FieldSpec(n, modulus) if modulus is not None else FieldSpec.default(n)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno, offset + 1) from None
-
-
-def _split_field(body: str) -> tuple[int, int | None] | None:
-    """Degree and modulus from the whitespace split, or None for the scanner.
-
-    Each value is tested by its characters and a later key replaces an
-    earlier one, as in ``_scan_field``, which takes anything else,
-    including a missing `n`, and places the error.
-    """
-    n = modulus = None
-    for tok in body.split():
-        key, _, value = tok.partition("=")
-        if key == "n" and value.isascii() and value.isdigit():
-            try:
-                n = int(value)
-            except ValueError:  # past the interpreter's int-string digit limit
-                return None
-        elif key == "modulus" and value and not value.strip("01"):
-            modulus = int(value, 2)
-        else:
-            return None
-    return None if n is None else (n, modulus)
-
-
-def _scan_field(body: str, offset: int, lineno: int) -> tuple[int, int | None]:
-    """``_split_field`` through the token scanner, with every error's column."""
     n: int | None = None
     modulus: int | None = None
     for m in re.finditer(r"\S+", body):
@@ -301,51 +220,24 @@ def _scan_field(body: str, offset: int, lineno: int) -> tuple[int, int | None]:
         if not eq or key not in ("n", "modulus"):
             raise ParseError(f"expected n=... or modulus=..., got '{tok}'", lineno, col)
         if key == "n":
-            if not re.fullmatch(r"[0-9]+", value):
+            if not (value.isascii() and value.isdigit()):
                 raise ParseError(f"invalid degree '{value}'", lineno, col)
             try:
                 n = int(value)
             except ValueError:  # past the interpreter's int-string digit limit
                 raise ParseError(f"degree of {len(value)} digits is too long", lineno, col) from None
         else:
-            if not re.fullmatch(r"[01]+", value):
+            if not value or value.strip("01"):
                 raise ParseError(
                     f"modulus must be a binary string, got '{value}'", lineno, col
                 )
             modulus = int(value, 2)
     if n is None:
         raise ParseError("field declaration needs n=<degree>", lineno, offset + 1)
-    return n, modulus
-
-
-def _split_vars(body: str) -> list[str] | None:
-    """The names of a `vars:` line from the whitespace split, or None for the scanner.
-
-    The names are checked together: ASCII, identifiers and distinct.
-    """
-    names = body.split()
-    ascii_identifiers = "".join(names).isascii() and all(map(str.isidentifier, names))
-    return names if ascii_identifiers and len(set(names)) == len(names) else None
-
-
-def _scan_vars(body: str, offset: int, lineno: int) -> list[str]:
-    """``_split_vars`` name by name, with every error's column."""
-    names: dict[str, None] = {}
-    for m in re.finditer(r"\S+", body):
-        name = m.group()
-        col = offset + m.start() + 1
-        if not (name.isascii() and name.isidentifier()):
-            raise ParseError(f"invalid variable name '{name}'", lineno, col)
-        if name in names:
-            raise ParseError(f"duplicate variable '{name}'", lineno, col)
-        names[name] = None
-    return list(names)
-
-
-def _odd_monomials(monomials: list[int]) -> frozenset[int]:
-    """The monomials that occur an odd number of times: a repeated pair cancels."""
-    unique = frozenset(monomials)
-    return unique if len(unique) == len(monomials) else Anf.from_monomials(monomials).monomials
+    try:
+        return FieldSpec(n, modulus) if modulus is not None else FieldSpec.default(n)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno, offset + 1) from None
 
 
 def parse_text(text: str) -> Problem:
@@ -378,10 +270,15 @@ def parse_text(text: str) -> Problem:
                     indent + 1,
                 )
             declared = True
-            inputs = _split_vars(stripped[5:])
-            if inputs is None:
-                inputs = _scan_vars(stripped[5:], indent + 5, lineno)
-            bits = {name: 1 << i for i, name in enumerate(inputs)}
+            for m in re.finditer(r"\S+", stripped[5:]):
+                name = m.group()
+                col = indent + 5 + m.start() + 1
+                if not (name.isascii() and name.isidentifier()):
+                    raise ParseError(f"invalid variable name '{name}'", lineno, col)
+                if name in bits:
+                    raise ParseError(f"duplicate variable '{name}'", lineno, col)
+                bits[name] = 1 << len(inputs)
+                inputs.append(name)
             uni = (1 << len(inputs)) - 1
             continue
 
@@ -418,7 +315,7 @@ def parse_text(text: str) -> Problem:
             raise ParseError("file mixes map and system equations", lineno, indent + 1)
         if lhs_name == "0":
             f = _parse_anf(rhs, rhs_offset, lineno, bits, targets)
-            factors.append(Anf(_odd_monomials(f) ^ {0}, uni))  # f = 0 becomes factor f + 1
+            factors.append(Anf.from_monomials([*f, 0], uni))  # f = 0 becomes factor f + 1
         else:
             if not (lhs_name.isascii() and lhs_name.isidentifier()):
                 raise ParseError(f"invalid equation target '{lhs_name}'", lineno, indent + 1)
@@ -429,7 +326,7 @@ def parse_text(text: str) -> Problem:
             if lhs_name in targets:
                 raise ParseError(f"duplicate equation target '{lhs_name}'", lineno, indent + 1)
             f = _parse_anf(rhs, rhs_offset, lineno, bits, targets)
-            coords.append(Anf(_odd_monomials(f), uni))
+            coords.append(Anf.from_monomials(f, uni))
             targets[lhs_name] = None
 
     if poly is not None:

@@ -261,7 +261,9 @@ _PARSE_ERRORS = [
     ("field: n=2 k=3\npoly: X\n", 1, 12, "expected n=... or modulus=..., got 'k=3'"),
     ("field: n=x\npoly: X\n", 1, 8, "invalid degree 'x'"),
     (f"field: n={_LONG}\npoly: X\n", 1, 8, "degree of 5000 digits is too long"),
+    ("field: n=\u0663\npoly: X\n", 1, 8, "invalid degree '\u0663'"),  # int() takes it
     ("field: n=3 modulus=12\npoly: X\n", 1, 12, "modulus must be a binary string, got '12'"),
+    ("field: n=3 modulus=\npoly: X\n", 1, 12, "modulus must be a binary string, got ''"),
     ("field: modulus=111\npoly: X\n", 1, 7, "field declaration needs n=<degree>"),
     ("field: n=17\npoly: X\n", 1, 7, "extension degree must be in 1..16"),
     ("field: n=3 modulus=1001\npoly: X\n", 1, 7, "modulus 0b1001 is not irreducible of degree 3"),

@@ -7,7 +7,6 @@ import json
 import random
 import re
 import tempfile
-from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -505,86 +504,6 @@ def test_anf_split_path_accepts_exactly_what_the_scanner_accepts(body):
         # the split path never accepts what the scanner rejects, nor moves an error
         assert scan.called != splits, body
         assert got == outcome(_scan_anf), body
-
-
-def _split_path_matches_scanner(kind: str, parse, *scan_args) -> bool:
-    """Whether ``_split_<kind>`` accepts exactly what ``_scan_<kind>`` accepts.
-
-    ``parse()`` runs as the parser runs it and again with the split path
-    declining; both must give the same value or the same ParseError text.
-    In the first run the scanner must run exactly when it rejects
-    ``scan_args``, so the split path never accepts what the scanner
-    rejects, nor declines what it accepts.
-    """
-
-    def outcome():
-        try:
-            return parse()
-        except ParseError as exc:
-            return str(exc)
-
-    scan = getattr(parsing, f"_scan_{kind}")
-    with mock.patch.object(parsing, f"_scan_{kind}", wraps=scan) as scanned:
-        got = outcome()
-    with mock.patch.object(parsing, f"_split_{kind}", return_value=None):
-        alone = outcome()
-    try:
-        scan(*scan_args)
-        rejects = False
-    except ParseError:
-        rejects = True
-    return got == alone and scanned.called == rejects
-
-
-# polynomial tokens: well-formed ones, an X without or with a spaced or non-ASCII
-# exponent, coefficients at or past the order of GF(16), forms that int() accepts
-# but the scanner does not, a stray letter, an empty token and the operators
-_POLY_TOKENS = st.sampled_from(
-    ["X", "X^12", "X^0", "X^20", "X^", "X ^3", "X^\u0663", "3", "a", "f", "10", "ff", "FF",
-     "0x5", "0X5", "1_0", "g", "", "+", "*"]
-)
-
-
-@settings(derandomize=True, deadline=None, max_examples=1000)
-@given(st.lists(st.tuples(_POLY_TOKENS, _ANF_GAPS).map("".join), max_size=10).map("".join))
-@example("3*X^12 + a*X + X^0 + f")
-@example("X + X^" + "1" * 5000)  # past the int-string digit limit
-@example("X*3*X")
-def test_poly_split_path_accepts_exactly_what_the_scanner_accepts(body):
-    spec = FieldSpec.default(4)
-    parse = partial(parsing._parse_poly, body, 5, 2, spec)
-    assert _split_path_matches_scanner("poly", parse, body, 5, 2, spec.order), body
-
-
-# field tokens: repeated and missing keys, a non-ASCII digit, empty values, a
-# modulus that is not binary, one that is not irreducible, and a degree out of range
-_FIELD_TOKENS = st.sampled_from(
-    ["n=4", "n=3", "n=04", "n=17", "n=\u0663", "n=", "n", "modulus=", "modulus=10011",
-     "modulus=1011", "modulus=102", "modulus=111", "x=1", "=", "n=0x4"]
-)
-
-
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(st.lists(st.tuples(_ANF_GAPS, _FIELD_TOKENS).map("".join), max_size=5).map("".join))
-@example(" n=4 modulus=10011 n=3 ")
-@example("n=" + "1" * 5000)  # past the int-string digit limit
-def test_field_split_path_accepts_exactly_what_the_scanner_accepts(body):
-    parse = partial(parsing._parse_field, body, 6, 1)
-    assert _split_path_matches_scanner("field", parse, body, 6, 1), body
-
-
-# names: ASCII identifiers (one a keyword), non-ASCII identifiers, names that are
-# not identifiers, with gaps that do not end the line; repeats come from the draw
-_NAME_TOKENS = st.sampled_from(["a", "b1", "_x", "if", "\u00e9", "x\u0661", "\u00aa", "1a", "a-b"])
-_NAME_GAPS = st.sampled_from(["", " ", " ", "\t", "\xa0", " \t"])
-
-
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(st.lists(st.tuples(_NAME_GAPS, _NAME_TOKENS).map("".join), max_size=6).map("".join))
-@example(" a\xa0b1\ta")
-def test_vars_split_path_accepts_exactly_what_the_scanner_accepts(body):
-    parse = partial(parse_text, f"vars:{body}\n0 = 1\n")
-    assert _split_path_matches_scanner("vars", parse, body, 5, 1), body
 
 
 # ASCII and other identifier characters (é, ª, Arabic-Indic one, middle dot), and a dash

@@ -135,6 +135,10 @@ ROWS = [
             ((SPEC, ((1, E1), (0, E3))), "terms must be nonzero and in rising exponent"),
             ((SPEC, ((0, E1), (0, E3))), "terms must be nonzero and in rising exponent"),
             ((SPEC, ((1, FieldElem(SPEC, 0)),)), "terms must be nonzero and in rising exponent"),
+            (
+                (SPEC, (E1, E3)),  # the dense coefficients that UniPoly.of takes
+                "terms must be (exponent, FieldElem) pairs; use UniPoly.of for dense coefficients",
+            ),
         ),
     ),
     Row(TruthTable, ("bits", "universe"), (6, 3), (6, 7), "TruthTable(bits=6, universe=3)"),
