@@ -8,8 +8,10 @@ solves each by minterm enumeration and crosses their covers one factor
 at a time from the seed, in breadth-first order over shared variables.
 It cofactors the other (residual) factors as it goes, so a partial
 branch is dropped as soon as a residual factor becomes 0 or two of them
-force one variable both ways, the unit propagation of DPLL.  Every live
-cross term goes back on the stack with its residual system.  When no
+force one variable both ways, the unit propagation of DPLL.  A residual
+factor that is one literal is settled by its mask, with no cofactor.
+Every live cross term goes back on the stack with its residual system,
+or, when no residual factor is left, is itself a cover term.  When no
 factor is small enough the step makes a Boole-Shannon split, crossing
 the split variable's two literals the same way.
 
@@ -53,6 +55,8 @@ DEFAULT_BOUND = 12
 
 #: Largest accepted enumeration bound: a leaf truth table holds 2**k bits.
 MAX_BOUND = 20
+
+_ONE = Anf.one()  # what a settled literal factor cofactors to
 
 
 class BoundExceededError(ValueError):
@@ -402,17 +406,26 @@ def _cofactor_near(
 
     Constant-1 cofactors leave the map.  None when the branch is dead: a
     cofactor is 0, or a cofactor that is a single literal meets the
-    opposite literal on the same variable.
+    opposite literal on the same variable.  A touched factor that is
+    itself a single literal, x_v or x_v + 1, is settled by its mask with
+    no ``Anf.ratio``: its cofactor is 0 when ``t`` fixes v the other way,
+    and 1 otherwise, so it leaves the map.
     """
     mask = t.vars_mask
     changed = {}
     for k in near:
         h = res.get(k)
-        if h is not None and h.support & mask:
+        if h is None or not (s := h.support) & mask:
+            continue
+        if s & (s - 1):
             h = h.ratio(t)
             if h.is_zero:
                 return None
-            changed[k] = h
+        elif (0 in h.monomials) == bool(s & t.pos):  # x_v + 1 with v = 1, or x_v with v = 0
+            return None
+        else:
+            h = _ONE
+        changed[k] = h
     if not changed:
         return res
     for h in changed.values():
@@ -455,9 +468,11 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     every branch is dropped, no further cover is solved.  A dropped
     branch has an unsatisfiable residual, so the cover is the one the
     full product of the crossed covers gives.  The live branches go
-    straight on the stack.  Terms come in canonical order: one leaf scan
-    makes its terms so, and the terms of more than one leaf are sorted
-    once at the end.
+    straight on the stack, except one with no residual factor left: its
+    cross term is a cover term, so it goes into the cover with no leaf
+    scan, and it counts as a leaf.  Terms come in canonical order: one
+    leaf scan makes its terms so, and the terms of more than one leaf
+    are sorted once at the end.
     """
     bound = cfg.base_bound_m
     out: list[Term] = []
@@ -505,10 +520,13 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
             ]
             if not partial:
                 break
-        stack += [
-            (pos, neg, BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg)))
-            for pos, neg, res in partial
-        ]
+        for pos, neg, res in partial:
+            if res:
+                residual = BoolSystem(tuple(res.values()), sys.universe & ~(pos | neg))
+                stack.append((pos, neg, residual))
+            else:
+                leaves += 1
+                out.append(Term(pos, neg))
     if leaves > 1:
         out.sort(key=Term.sort_key)
     return out

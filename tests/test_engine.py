@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from collections import Counter
 from functools import reduce
 
 import boolinv.engine
@@ -20,6 +21,7 @@ from boolinv.engine import (
     BoundExceededError,
     ClusterPlan,
     EngineConfig,
+    _cofactor_near,
     _leaf_scan,
     compose_product,
     impl_for_simple,
@@ -465,6 +467,68 @@ def test_pruned_cross_matches_product_cross(monkeypatch):
     assert 0 < empty < len(systems) * 3  # satisfiable and unsatisfiable cases both occur
 
 
+def _cofactor_near_by_ratio(res, near, t, occurs):
+    """``_cofactor_near`` with every touched neighbour cofactored by ``Anf.ratio``."""
+    mask = t.vars_mask
+    changed = {}
+    for k in near:
+        h = res.get(k)
+        if h is not None and h.support & mask:
+            h = h.ratio(t)
+            if h.is_zero:
+                return None
+            changed[k] = h
+    if not changed:
+        return res
+    for h in changed.values():
+        s = h.support
+        if s and not s & (s - 1):  # h is x_v or x_v + 1
+            for j in occurs[s.bit_length() - 1]:
+                g = changed[j] if j in changed else res.get(j)
+                if g is not None and g.support == s and g.monomials != h.monomials:
+                    return None
+    out = dict(res)
+    for k, h in changed.items():
+        if h.is_one:
+            del out[k]
+        else:
+            out[k] = h
+    return out
+
+
+def test_cofactor_near_matches_cofactoring_by_ratio():
+    rng = random.Random(28)
+    kinds = Counter()
+    for _ in range(4000):
+        n = rng.randint(2, 7)
+        uni = mask_of(range(n))
+        res = {}
+        for k in range(rng.randint(1, 8)):
+            kind = rng.choice(("literal", "literal", "constant", "wide"))
+            if kind == "literal":
+                h = Anf.variable(rng.randrange(n), uni)
+                res[k] = ~h if rng.random() < 0.5 else h
+            elif kind == "constant":
+                res[k] = rng.choice((Anf.zero(uni), Anf.one(uni)))
+            else:
+                res[k] = random_anf(rng, rng.sample(range(n), rng.randint(2, n))).with_universe(uni)
+        occurs = {}  # as in the step: variable -> the factors using it
+        for k, h in res.items():
+            for v in vars_of(h.support):
+                occurs.setdefault(v, []).append(k)
+        near = rng.sample(range(10), rng.randint(0, 10))  # some indices are not in the map
+        fixed = rng.sample(range(n), rng.randint(1, n))
+        t = Term.of(*((v, rng.getrandbits(1)) for v in fixed))
+        got = _cofactor_near(res, near, t, occurs)
+        assert got == _cofactor_near_by_ratio(res, near, t, occurs)
+        touched_literal = any(
+            k in res and res[k].support & t.vars_mask and res[k].support.bit_count() == 1
+            for k in near
+        )
+        kinds[touched_literal, got is None] += 1
+    assert min(kinds[key] for key in itertools.product((False, True), repeat=2)) > 100
+
+
 def test_a_dead_cross_solves_no_further_cover(monkeypatch):
     # x_i + x_(i+1) = 1 over 30 variables, with the factors x0 and x0 + 1
     uni = mask_of(range(30))
@@ -480,6 +544,22 @@ def test_a_dead_cross_solves_no_further_cover(monkeypatch):
     assert implicants(sys, EngineConfig(4)) == ImplicantSet((), uni)
     # the cross starts from x0, whose one term makes x0 + 1 zero: no other packed factor is solved
     assert leaves == [x[0]]
+
+
+@pytest.mark.parametrize("bound", [12, 1])
+def test_a_chain_settles_literal_residuals_without_ratio(monkeypatch, bound):
+    ratio = Anf.ratio
+    supports = []
+
+    def recording_ratio(self, t):
+        supports.append(self.support.bit_count())
+        return ratio(self, t)
+
+    monkeypatch.setattr(Anf, "ratio", recording_ratio)
+    for variant in ("pinned", "free", "unsat"):
+        implicants(chain_system(30, variant), EngineConfig(bound))
+    # the wide residuals x_i + x_(i-1) are cofactored; the literals they become are settled
+    assert supports and 1 not in supports
 
 
 def _ladder(n: int) -> BoolSystem:

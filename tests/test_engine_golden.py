@@ -208,6 +208,24 @@ def test_step_shapes_pack_every_factor_or_one(monkeypatch):
     assert any(packed == 1 and residual for packed, residual in shapes)
 
 
+def test_a_step_without_residual_solves_only_its_packed_factors(monkeypatch):
+    leaf = boolinv.engine.impl_for_simple
+    solved = []
+
+    def recording_leaf(f, bound=boolinv.engine.DEFAULT_BOUND):
+        solved.append(f)
+        return leaf(f, bound)
+
+    monkeypatch.setattr(boolinv.engine, "impl_for_simple", recording_leaf)
+    cfg = EngineConfig()
+    for sys in _step_shapes()[::2]:  # the disjoint-block systems
+        solved.clear()
+        cover = implicants(sys, cfg)
+        # one leaf per packed factor; each cross term is a cover term, with no leaf
+        assert Counter(solved) == Counter(sys.factors)
+        assert len(cover) > len(sys.factors)
+
+
 def test_corpus_makes_split_plans_and_multi_leaf_covers(monkeypatch):
     plan, leaf = boolinv.engine.select_disjoint_clusters, boolinv.engine.impl_for_simple
     splits, system_leaves = [], []
