@@ -10,7 +10,7 @@ from .algebra import (
     mask_of,
     vars_of,
 )
-from .engine import BoundExceededError, EngineConfig, compose_product, implicants
+from .engine import BoundExceededError, compose_product, implicants
 from .maps import (
     BoolMap,
     ComplementResult,
@@ -84,7 +84,6 @@ __all__ = [
     "BoolSystem",
     "BoundExceededError",
     "ComplementResult",
-    "EngineConfig",
     "FieldElem",
     "FieldSpec",
     "ImplicantSet",

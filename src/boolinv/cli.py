@@ -5,7 +5,8 @@ stderr so that machine output is byte-identical from run to run.  Every
 JSON document opens with ``schema``, ``command`` and ``problem``.  Exit
 status: 1 when the document holds ``False`` under ``one_to_one``,
 ``permutation`` or ``injective`` (decided negative), 2 on an error,
-including an internal failure of the engine, and 0 otherwise.
+including an internal failure of the engine or a stdout whose reader
+has gone, and 0 otherwise.
 
 Each handler returns the document's body and its text lines, which may
 be lazy: they are only read for ``--format text``.  JSON is written by
@@ -14,6 +15,7 @@ be lazy: they are only read for ``--format text``.  JSON is written by
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from itertools import chain, repeat
@@ -21,7 +23,7 @@ from operator import and_, rshift
 from types import SimpleNamespace
 
 from .algebra import Assignment
-from .engine import DEFAULT_BOUND, MAX_BOUND, EngineConfig, implicants
+from .engine import DEFAULT_BOUND, MAX_BOUND, check_bound, implicants
 from .maps import (
     DEFAULT_MAX_POINTS,
     BoolMap,
@@ -259,11 +261,11 @@ def _need_map(problem: Problem, command: str) -> tuple[BoolMap, VarTable]:
     return F, problem.table
 
 
-def _run_implicants(problem: Problem, args, cfg: EngineConfig):
+def _run_implicants(problem: Problem, args):
     if isinstance(problem, MapProblem):
-        cover = graph_implicants(problem.map, cfg)
+        cover = graph_implicants(problem.map, args.bound)
     elif isinstance(problem, SystemProblem):
-        cover = implicants(problem.system, cfg)
+        cover = implicants(problem.system, args.bound)
     else:
         raise ValueError("implicants expects a map or system file")
     table = problem.table
@@ -279,12 +281,12 @@ def _run_implicants(problem: Problem, args, cfg: EngineConfig):
     return body, lines
 
 
-def _run_verdict(problem: Problem, args, cfg: EngineConfig):
+def _run_verdict(problem: Problem, args):
     F, table = _need_map(problem, args.command)
     # the module globals are looked up per call, so a rebound global is the one called;
-    # only the collision cover of diag takes the engine setting
+    # only the collision cover of diag takes the bound
     if args.command == "diag":
-        verdict = is_one_to_one_diagonal(F, cfg)
+        verdict = is_one_to_one_diagonal(F, args.bound)
     elif args.command == "invert":
         verdict = is_invertible_square(F)
     else:
@@ -323,7 +325,7 @@ def _word_rows(words, cells, sep: str) -> list[str]:
     return list(map(sep.join, zip(*columns)))
 
 
-def _run_complement(problem: Problem, args, cfg: EngineConfig):
+def _run_complement(problem: Problem, args):
     F, table = _need_map(problem, args.command)
     fn = goe if args.command == "goe" else coi
     res = fn(F, max_points=args.max_enum)
@@ -352,10 +354,10 @@ def _run_complement(problem: Problem, args, cfg: EngineConfig):
     return body, lines
 
 
-def _run_unique(problem: Problem, args, cfg: EngineConfig):
+def _run_unique(problem: Problem, args):
     if not isinstance(problem, SystemProblem):
         raise ValueError("unique expects a system file")
-    res = unique_solution(problem.system, cfg)
+    res = unique_solution(problem.system, args.bound)
     assignment = None
     if res.status is Uniqueness.UNIQUE:
         assignment = _assignment_obj(res.assignment, problem.table)
@@ -366,7 +368,7 @@ def _run_unique(problem: Problem, args, cfg: EngineConfig):
     return body, lines
 
 
-def _run_permpoly(problem: Problem, args, cfg: EngineConfig):
+def _run_permpoly(problem: Problem, args):
     if not isinstance(problem, PolyProblem):
         raise ValueError("permpoly expects a polynomial file")
     check_term_points(problem.poly)
@@ -384,7 +386,7 @@ def _enum_cap_bits(max_enum: int) -> int:
     return max(max_enum, 1).bit_length() - 1
 
 
-def _run_oracle(problem: Problem, args, cfg: EngineConfig):
+def _run_oracle(problem: Problem, args):
     # the referee is loaded only for its own command
     from .oracle import brute_image_count, brute_injective, brute_solutions
 
@@ -442,11 +444,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     out_of_memory = False
     try:
-        cfg = EngineConfig(base_bound_m=args.bound)  # a bad --bound fails before the read
+        check_bound(args.bound)  # a bad --bound fails before the read
         if not 0 <= args.max_enum <= DEFAULT_MAX_POINTS:
             raise ValueError(f"--max-enum must be in 0..{DEFAULT_MAX_POINTS}")
         problem = parse_file(args.file)
-        body, lines = _HANDLERS[args.command](problem, args, cfg)
+        body, lines = _HANDLERS[args.command](problem, args)
     except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -462,10 +464,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: internal: MemoryError: ", file=sys.stderr)
         return 2
     doc = {"schema": SCHEMA_VERSION, "command": args.command, "problem": _KIND[type(problem)], **body}
-    if args.format == "json":
-        print(_json(doc))
-    else:
-        print("\n".join(lines))
+    try:
+        print(_json(doc) if args.format == "json" else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; with fd 1 on devnull the interpreter's last flush cannot fail too
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: stdout closed before the result was written", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
     print(
         f"[boolinv] {args.command} bound={args.bound} elapsed={elapsed:.3f}s",

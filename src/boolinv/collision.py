@@ -13,7 +13,7 @@ The method is exponential in n by nature and stays desk scale.
 from __future__ import annotations
 
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, submasks
-from .engine import EngineConfig, implicants
+from .engine import DEFAULT_BOUND, implicants
 from .maps import BoolMap, Verdict
 
 #: diagonal_set materializes 2**n paired minterms; refuse beyond this.
@@ -41,10 +41,9 @@ def diagonal_set(n: int) -> tuple[Term, ...]:
     return tuple(Term.minterm(full, x | (x << n)) for x in submasks(full >> n))
 
 
-def collision_implicants(
-    F: BoolMap, cfg: EngineConfig | None = None
-) -> ImplicantSet:
-    return implicants(build_collision_system(F), cfg)
+def collision_implicants(F: BoolMap, bound: int = DEFAULT_BOUND) -> ImplicantSet:
+    """Cover of the collision system, from ``implicants`` at ``bound``."""
+    return implicants(build_collision_system(F), bound)
 
 
 def _inside_diagonal(t: Term, n: int) -> int | None:
@@ -71,8 +70,8 @@ def _witness_from_term(t: Term, v: int, n: int) -> tuple[Assignment, Assignment]
     )
 
 
-def is_one_to_one_diagonal(F: BoolMap, cfg: EngineConfig | None = None) -> Verdict:
-    """One-to-one iff the whole collision cover sits on the diagonal.
+def is_one_to_one_diagonal(F: BoolMap, bound: int = DEFAULT_BOUND) -> Verdict:
+    """One-to-one iff the whole collision cover, at ``bound``, sits on the diagonal.
 
     A term inside the diagonal fixes both copies of every variable, so
     it is one diagonal minterm.  Every diagonal point solves the system
@@ -81,7 +80,7 @@ def is_one_to_one_diagonal(F: BoolMap, cfg: EngineConfig | None = None) -> Verdi
     is a count and runs at every n.
     """
     n = F.n_in
-    cover = collision_implicants(F, cfg)
+    cover = collision_implicants(F, bound)
     for t in cover.terms:
         v = _inside_diagonal(t, n)
         if v is not None:

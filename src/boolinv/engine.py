@@ -71,18 +71,10 @@ class BoundExceededError(ValueError):
         self.bound = bound
 
 
-class EngineConfig(Value):
-    """Solver knobs: the most variables one leaf scan enumerates."""
-
-    __slots__ = ("base_bound_m",)
-    base_bound_m: int
-
-    def __init__(self, base_bound_m: int = DEFAULT_BOUND):
-        if not 1 <= base_bound_m <= MAX_BOUND:
-            raise ValueError(
-                f"bound must be at least 1 and at most {MAX_BOUND}, got {base_bound_m}"
-            )
-        self._set("base_bound_m", base_bound_m)
+def check_bound(bound: int) -> None:
+    """Refuse an enumeration bound outside 1..MAX_BOUND."""
+    if not 1 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound must be at least 1 and at most {MAX_BOUND}, got {bound}")
 
 
 class ClusterPlan(Value):
@@ -332,7 +324,7 @@ def impl_for_simple(f: Anf | BoolSystem, bound: int = DEFAULT_BOUND) -> Implican
     return ImplicantSet(tuple(out), essential)
 
 
-def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
+def select_disjoint_clusters(sys: BoolSystem, bound: int) -> ClusterPlan:
     """Greedy smallest-support-first packing of variable-disjoint factors.
 
     Factors are scanned by (support size, index).  A factor is admitted
@@ -348,7 +340,7 @@ def select_disjoint_clusters(sys: BoolSystem, cfg: EngineConfig) -> ClusterPlan:
     taken = 0
     for i in order:
         s = sys.factors[i].support
-        if s.bit_count() <= cfg.base_bound_m and not (s & taken):
+        if s.bit_count() <= bound and not (s & taken):
             admitted.append(i)
             taken |= s
     if not admitted:
@@ -444,7 +436,7 @@ def _cofactor_near(
     return out
 
 
-def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -> list[Term]:
+def _solve(branches: Iterable[tuple[int, int, BoolSystem]], bound: int) -> list[Term]:
     """Each seed ANDed with each cover term of the system under it.
 
     A branch is a seed cube, as its ``pos`` and ``neg`` masks, and the
@@ -474,7 +466,6 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     leaf scan makes its terms so, and the terms of more than one leaf
     are sorted once at the end.
     """
-    bound = cfg.base_bound_m
     out: list[Term] = []
     leaves = 0
     stack = [
@@ -492,7 +483,7 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
             else:  # the empty seed: the leaf's terms are already the products
                 out.extend(terms)
             continue
-        plan = select_disjoint_clusters(sys, cfg)
+        plan = select_disjoint_clusters(sys, bound)
         factor_vars = [vars_of(h.support) for h in factors]
         occurs: dict[int, list[int]] = {}  # variable -> indices of the factors using it
         for i, vs in enumerate(factor_vars):
@@ -532,26 +523,27 @@ def _solve(branches: Iterable[tuple[int, int, BoolSystem]], cfg: EngineConfig) -
     return out
 
 
-def implicants(sys: BoolSystem, cfg: EngineConfig | None = None) -> ImplicantSet:
+def implicants(sys: BoolSystem, bound: int = DEFAULT_BOUND) -> ImplicantSet:
     """Complete orthogonal implicant cover of the system's solution set.
 
     Empty result means the system is unsatisfiable.  Terms come back in
-    canonical order, so equal inputs give byte-equal outputs.
+    canonical order, so equal inputs give byte-equal outputs.  ``bound``
+    (1..MAX_BOUND) is the most variables one leaf scan enumerates.
     """
-    cfg = cfg or EngineConfig()
-    return ImplicantSet(tuple(_solve([(0, 0, sys)], cfg)), sys.universe)
+    check_bound(bound)
+    return ImplicantSet(tuple(_solve([(0, 0, sys)], bound)), sys.universe)
 
 
 def compose_product(
-    seed: ImplicantSet, sys_g: BoolSystem, cfg: EngineConfig | None = None
+    seed: ImplicantSet, sys_g: BoolSystem, bound: int = DEFAULT_BOUND
 ) -> ImplicantSet:
     """Implicants of (cover's function) AND (system), built per seed term.
 
-    For each seed term the system is cofactored and solved;
+    For each seed term the system is cofactored and solved at ``bound``;
     branches whose cofactored system is unsatisfiable vanish on their
     own.  The result is complete and orthogonal for the conjunction.
     """
-    cfg = cfg or EngineConfig()
+    check_bound(bound)
     universe = seed.universe | sys_g.universe
-    out = _solve([(t.pos, t.neg, sys_g.ratio(t)) for t in seed.terms], cfg)
+    out = _solve([(t.pos, t.neg, sys_g.ratio(t)) for t in seed.terms], bound)
     return ImplicantSet(tuple(out), universe)

@@ -5,14 +5,16 @@ variables 0..n-1.  Output variables take the ids n..n+m-1, appended
 after the inputs.  The graph system h_i = f_i + y_i + 1 is satisfied
 exactly by the pairs (x, F(x)); each cover term is the paper's
 r_i(X)·s_i(Y), an input cube times one output point.  Since h_i fixes
-y_i = f_i(x), the cover has one term per point x of the inputs the map
-reads, in canonical order, with output point F(x); the inputs it does
-not read are free in every term.  The verdicts read only the output
-words, y_j at bit j as ``BoolMap.evaluate`` packs them.  The engine's
-functional scan of the coordinates gives them, in chunks of at most
-2^DEFAULT_BOUND points, without building the graph system or making
-terms, so the verdicts take no engine setting.  Injectivity counts the
-distinct words.
+y_i = f_i(x), F is constant on each term's input cube; the inputs the
+map does not read are free in every term.  When the inputs it reads fit
+the bound, the cover has one term per point x of them, in canonical
+order, with output point F(x); past it, a term may also leave free a
+read input that F ignores under the term's other literals.  The
+verdicts read only the output words, y_j at bit j as
+``BoolMap.evaluate`` packs them.  The engine's functional scan of the
+coordinates gives them, in chunks of at most 2^DEFAULT_BOUND points,
+without building the graph system or making terms, so the verdicts
+take no bound.  Injectivity counts the distinct words.
 On a shortfall it names the points of the first repeated word, found
 from the words' indices, or else point 0 and the point that differs
 from it in the lowest free input.  The complement is answered in
@@ -25,7 +27,7 @@ from enum import Enum
 from itertools import compress
 
 from .algebra import Anf, Assignment, BoolSystem, ImplicantSet, Value, submasks
-from .engine import DEFAULT_BOUND, EngineConfig, _functional_scan, implicants
+from .engine import DEFAULT_BOUND, _functional_scan, implicants
 
 #: Explicit complement-of-image points are materialized only when the output
 #: space has at most this many points.
@@ -159,14 +161,14 @@ def build_graph_system(F: BoolMap) -> BoolSystem:
     return BoolSystem(factors, uni)
 
 
-def graph_implicants(F: BoolMap, cfg: EngineConfig | None = None) -> ImplicantSet:
-    """Cover of the graph system; every term fixes every output variable.
+def graph_implicants(F: BoolMap, bound: int = DEFAULT_BOUND) -> ImplicantSet:
+    """Cover of the graph system at ``bound``; every term fixes every output variable.
 
     A free output variable in a sound cover term is impossible: every
     factor depends linearly on its y_i, so the cofactor could not be
     constant 1.  The guard stays as a cheap internal consistency check.
     """
-    cover = implicants(build_graph_system(F), cfg)
+    cover = implicants(build_graph_system(F), bound)
     y_mask = F.y_universe
     for t in cover.terms:
         if y_mask & ~t.vars_mask:
@@ -248,15 +250,13 @@ def coi(F: BoolMap, max_points: int = DEFAULT_MAX_POINTS) -> ComplementResult:
     return _image_complement(F, max_points)
 
 
-def unique_solution(
-    sys: BoolSystem, cfg: EngineConfig | None = None
-) -> UniqueSolutionResult:
+def unique_solution(sys: BoolSystem, bound: int = DEFAULT_BOUND) -> UniqueSolutionResult:
     """Classify a system as unsolvable, uniquely solvable, or neither.
 
-    Unique solvability is equivalent to the cover being one single term
-    that fixes every universe variable.
+    Unique solvability is equivalent to the cover, from ``implicants`` at
+    ``bound``, being one single term that fixes every universe variable.
     """
-    cover = implicants(sys, cfg)
+    cover = implicants(sys, bound)
     if not cover.terms:
         return UniqueSolutionResult(Uniqueness.NONE)
     if len(cover.terms) == 1 and cover.terms[0].fixes(sys.universe):

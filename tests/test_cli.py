@@ -555,6 +555,27 @@ def test_module_invocation_runs():
     assert (proc.returncode, proc.stdout) == (1, "permutation: no\n")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])  # the write fails in print, or in the flush
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_2_without_traceback(fmt, unbuffered):
+    """A "yes" that cannot be written is an error, not a decided negative."""
+    env = {**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolinv.cli", "invert", SHIFT, "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (2, "error: stdout closed before the result was written\n")
+
+
 def test_every_exported_name_resolves():
     # a dangling __all__ entry breaks ``from boolinv import *``
     assert [name for name in boolinv.__all__ if not hasattr(boolinv, name)] == []
@@ -566,7 +587,6 @@ def test_every_exported_name_resolves():
         "BoolSystem",
         "BoundExceededError",
         "ComplementResult",
-        "EngineConfig",
         "FieldElem",
         "FieldSpec",
         "ImplicantSet",

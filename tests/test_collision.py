@@ -116,7 +116,7 @@ def test_positive_verdict_needs_every_diagonal_minterm(monkeypatch, n):
     for terms in (d[:5] + d[6:], d[:5] + d[4:5] + d[6:]):
         cover = ImplicantSet(terms, (1 << 2 * n) - 1)
         monkeypatch.setattr(
-            boolinv.collision, "collision_implicants", lambda F, cfg=None: cover
+            boolinv.collision, "collision_implicants", lambda F, bound=None: cover
         )
         with pytest.raises(RuntimeError, match="differs from the diagonal set"):
             is_one_to_one_diagonal(identity_map(n))

@@ -17,12 +17,13 @@ import boolinv.engine
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term, mask_of, vars_of
 from boolinv.cli import main
 from boolinv.engine import (
+    DEFAULT_BOUND,
     MAX_BOUND,
     BoundExceededError,
     ClusterPlan,
-    EngineConfig,
     _cofactor_near,
     _leaf_scan,
+    check_bound,
     compose_product,
     impl_for_simple,
     implicants,
@@ -250,12 +251,12 @@ def test_select_prefers_small_disjoint_supports():
     uni = mask_of([X1, X2])
     x1, x2 = Anf.variable(X1, uni), Anf.variable(X2, uni)
     sys = BoolSystem.of([x1, x2, x1 ^ x2], universe=uni)
-    plan = select_disjoint_clusters(sys, EngineConfig())
+    plan = select_disjoint_clusters(sys, DEFAULT_BOUND)
     assert plan == ClusterPlan((0, 1), (2,), split_var=None)
 
 
 def test_select_on_shift_graph():
-    plan = select_disjoint_clusters(fsr_graph_system(), EngineConfig())
+    plan = select_disjoint_clusters(fsr_graph_system(), DEFAULT_BOUND)
     assert plan.disjoint_factors == (0, 1)
     assert plan.residual == (2,)
     assert plan.split_var is None
@@ -263,7 +264,7 @@ def test_select_on_shift_graph():
 
 def test_select_single_factor():
     sys = BoolSystem.of([Anf.variable(X1)])
-    plan = select_disjoint_clusters(sys, EngineConfig())
+    plan = select_disjoint_clusters(sys, DEFAULT_BOUND)
     assert plan == ClusterPlan((0,), (), split_var=None)
 
 
@@ -273,7 +274,7 @@ def test_select_flags_split_when_nothing_fits():
     f = mk(X1) ^ mk(X2) ^ mk(X3)
     g = mk(X2) ^ mk(X3) ^ mk(X4)
     sys = BoolSystem.of([f, g], universe=uni)
-    plan = select_disjoint_clusters(sys, EngineConfig(base_bound_m=2))
+    plan = select_disjoint_clusters(sys, 2)
     assert plan.disjoint_factors == ()
     assert plan.residual == (0, 1)  # a split cofactors every factor
     # x2 and x3 occur twice; tie broken toward the lower index
@@ -346,9 +347,9 @@ def _product(a: Term, b: Term) -> Term:
 
 def test_implicants_solution_set_independent_of_bound():
     sys = quad_graph_system()
-    base = _points(implicants(sys, EngineConfig(base_bound_m=12)))
+    base = _points(implicants(sys, 12))
     for m in (2, 3, 4, 6):
-        got = _points(implicants(sys, EngineConfig(base_bound_m=m)))
+        got = _points(implicants(sys, m))
         assert got == base
 
 
@@ -357,7 +358,7 @@ def test_implicants_cover_is_valid_on_random_corpus():
     for _ in range(25):
         n = rng.randint(2, 8)
         sys = random_system(rng, n, rng.randint(1, 5))
-        cover = implicants(sys, EngineConfig(base_bound_m=rng.choice((2, 3, 12))))
+        cover = implicants(sys, rng.choice((2, 3, 12)))
         rep = validate_implicant_set(cover, sys)
         assert rep.ok, rep
         assert cover.satisfying_total() == solution_count(sys)
@@ -389,15 +390,22 @@ def test_disjoint_product_law():
         assert list(implicants(combined).terms) == expected
 
 
-def test_engine_config_validation():
+def test_check_bound():
     with pytest.raises(ValueError, match="^bound must be at least 1 and at most 20, got 0$"):
-        EngineConfig(base_bound_m=0)
-    assert EngineConfig(base_bound_m=MAX_BOUND).base_bound_m == MAX_BOUND
-    with pytest.raises(ValueError, match="at most"):
-        EngineConfig(base_bound_m=MAX_BOUND + 1)
+        check_bound(0)
+    check_bound(1)
+    check_bound(MAX_BOUND)
+    with pytest.raises(ValueError, match="^bound must be at least 1 and at most 20, got 21$"):
+        check_bound(MAX_BOUND + 1)
+    sys = fsr_graph_system()
+    with pytest.raises(ValueError, match="^bound must be at least 1 and at most 20, got 0$"):
+        implicants(sys, 0)
+    seed = implicants(sys)
+    with pytest.raises(ValueError, match="^bound must be at least 1 and at most 20, got 21$"):
+        compose_product(seed, sys, 21)
 
 
-def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
+def _product_cross_cover(sys: BoolSystem, bound: int) -> ImplicantSet:
     """The cover built with the full product of the packed covers.
 
     Every combination of packed cover terms is formed first, and the
@@ -405,7 +413,6 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
     dropped before it is solved.  Same plan, leaf and final sort as the
     engine, which count the variables a leaf scan enumerates.
     """
-    bound = cfg.base_bound_m
 
     def solve(s: BoolSystem) -> list[Term]:
         factors = tuple(h for h in s.factors if not h.is_one)
@@ -414,7 +421,7 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
         live = BoolSystem(factors, s.universe)
         if _leaf_scan(live.factors)[0].bit_count() <= bound:
             return list(impl_for_simple(live, bound).terms)
-        plan = select_disjoint_clusters(live, cfg)
+        plan = select_disjoint_clusters(live, bound)
         if plan.split_var is not None:
             seeds = [Term.of((plan.split_var, 0)), Term.of((plan.split_var, 1))]
             branches = [(t, live.ratio(t)) for t in seeds]
@@ -437,8 +444,8 @@ def _product_cross_cover(sys: BoolSystem, cfg: EngineConfig) -> ImplicantSet:
 def test_pruned_cross_matches_product_cross(monkeypatch):
     splits = []  # the engine's Shannon split plans, which share the cross loop
 
-    def counting_plan(sys, cfg):
-        plan = select_disjoint_clusters(sys, cfg)
+    def counting_plan(sys, bound):
+        plan = select_disjoint_clusters(sys, bound)
         splits.append(plan.split_var is not None)
         return plan
 
@@ -459,9 +466,8 @@ def test_pruned_cross_matches_product_cross(monkeypatch):
     empty = 0
     for sys in systems:
         for bound in (12, 4, 2):
-            cfg = EngineConfig(base_bound_m=bound)
-            cover = implicants(sys, cfg)
-            assert cover == _product_cross_cover(sys, cfg)  # terms and their order
+            cover = implicants(sys, bound)
+            assert cover == _product_cross_cover(sys, bound)  # terms and their order
             empty += not cover.terms
     assert sum(splits) > 0
     assert 0 < empty < len(systems) * 3  # satisfiable and unsatisfiable cases both occur
@@ -541,7 +547,7 @@ def test_a_dead_cross_solves_no_further_cover(monkeypatch):
         return impl_for_simple(f, bound)
 
     monkeypatch.setattr(boolinv.engine, "impl_for_simple", counting_leaf)
-    assert implicants(sys, EngineConfig(4)) == ImplicantSet((), uni)
+    assert implicants(sys, 4) == ImplicantSet((), uni)
     # the cross starts from x0, whose one term makes x0 + 1 zero: no other packed factor is solved
     assert leaves == [x[0]]
 
@@ -557,7 +563,7 @@ def test_a_chain_settles_literal_residuals_without_ratio(monkeypatch, bound):
 
     monkeypatch.setattr(Anf, "ratio", recording_ratio)
     for variant in ("pinned", "free", "unsat"):
-        implicants(chain_system(30, variant), EngineConfig(bound))
+        implicants(chain_system(30, variant), bound)
     # the wide residuals x_i + x_(i-1) are cofactored; the literals they become are settled
     assert supports and 1 not in supports
 

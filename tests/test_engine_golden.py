@@ -37,7 +37,7 @@ if __name__ == "__main__":
 import boolinv.engine
 from boolinv.algebra import Anf, BoolSystem, ImplicantSet, mask_of
 from boolinv.collision import build_collision_system
-from boolinv.engine import EngineConfig, compose_product, implicants
+from boolinv.engine import compose_product, implicants
 from boolinv.maps import BoolMap, build_graph_system
 
 from conftest import chain_system, random_anf, random_map_coords, random_system, xor_pair_system
@@ -127,10 +127,9 @@ def corpus() -> tuple[dict[str, list[BoolSystem]], list[tuple[ImplicantSet, Bool
 def covers(systems, compose):
     """Each group's name with its covers, in a fixed order."""
     for bound in BOUNDS:
-        cfg = EngineConfig(base_bound_m=bound)
         for kind, group in systems.items():
-            yield f"{kind} bound={bound}", [implicants(s, cfg) for s in group]
-        yield f"compose_product bound={bound}", [compose_product(a, b, cfg) for a, b in compose]
+            yield f"{kind} bound={bound}", [implicants(s, bound) for s in group]
+        yield f"compose_product bound={bound}", [compose_product(a, b, bound) for a, b in compose]
 
 
 def _digest(group: list[ImplicantSet]) -> str:
@@ -195,15 +194,14 @@ def test_step_shapes_pack_every_factor_or_one(monkeypatch):
     plan = boolinv.engine.select_disjoint_clusters
     shapes = []
 
-    def recording_plan(sys, cfg):
-        out = plan(sys, cfg)
+    def recording_plan(sys, bound):
+        out = plan(sys, bound)
         shapes.append((len(out.disjoint_factors), len(out.residual)))
         return out
 
     monkeypatch.setattr(boolinv.engine, "select_disjoint_clusters", recording_plan)
-    cfg = EngineConfig()
     for sys in _step_shapes():
-        implicants(sys, cfg)
+        implicants(sys)
     assert any(packed > 1 and not residual for packed, residual in shapes)
     assert any(packed == 1 and residual for packed, residual in shapes)
 
@@ -217,10 +215,9 @@ def test_a_step_without_residual_solves_only_its_packed_factors(monkeypatch):
         return leaf(f, bound)
 
     monkeypatch.setattr(boolinv.engine, "impl_for_simple", recording_leaf)
-    cfg = EngineConfig()
     for sys in _step_shapes()[::2]:  # the disjoint-block systems
         solved.clear()
-        cover = implicants(sys, cfg)
+        cover = implicants(sys)
         # one leaf per packed factor; each cross term is a cover term, with no leaf
         assert Counter(solved) == Counter(sys.factors)
         assert len(cover) > len(sys.factors)
@@ -230,8 +227,8 @@ def test_corpus_makes_split_plans_and_multi_leaf_covers(monkeypatch):
     plan, leaf = boolinv.engine.select_disjoint_clusters, boolinv.engine.impl_for_simple
     splits, system_leaves = [], []
 
-    def counting_plan(sys, cfg):
-        out = plan(sys, cfg)
+    def counting_plan(sys, bound):
+        out = plan(sys, bound)
         splits.append(out.split_var is not None)
         return out
 

@@ -26,7 +26,14 @@ from boolinv.maps import (
     is_one_to_one_general,
     unique_solution,
 )
-from boolinv.oracle import brute_image, brute_injective, og_sum_is_tautology, solution_count
+from boolinv.oracle import (
+    brute_image,
+    brute_injective,
+    og_sum_is_tautology,
+    solution_count,
+    validate_implicant_set,
+)
+from boolinv.parsing import parse_text
 
 from conftest import (
     identity_map,
@@ -61,6 +68,15 @@ def test_graph_system_quad_constant_cancels():
     # f1 = x1 x3 has no constant, so h1 = x1 x3 + y1 + 1 keeps the 1
     assert sys.factors[0].monomials == frozenset((0b0101, 1 << 4, 0))
     assert all(h.universe == sys.universe == 0xFF for h in sys.factors)
+
+
+@pytest.mark.parametrize("bound, terms", [(1, 9), (2, 9), (3, 9), (4, 16), (12, 16)])
+def test_graph_cover_has_one_term_per_read_point_only_within_the_bound(bound, terms):
+    # y_i = x_i x4 reads all four inputs; past the bound, x4 = 0 leaves x1..x3 free in one term
+    F = parse_text("vars: x1 x2 x3 x4\ny1 = x1*x4\ny2 = x2*x4\ny3 = x3*x4\ny4 = x4\n").map
+    cover = graph_implicants(F, bound)
+    assert len(cover) == terms
+    assert validate_implicant_set(cover, build_graph_system(F)).ok
 
 
 def test_shift_map_invertible():
@@ -300,7 +316,7 @@ def test_missing_outputs_without_a_collision_is_an_engine_defect(monkeypatch):
 def test_graph_cover_guard_rejects_a_free_output(monkeypatch):
     F = identity_map(2)
     free_y = ImplicantSet((Term.of((0, 0), (1, 0), (2, 0)),), F.x_universe | F.y_universe)
-    monkeypatch.setattr(boolinv.maps, "implicants", lambda sys, cfg=None: free_y)
+    monkeypatch.setattr(boolinv.maps, "implicants", lambda sys, bound=None: free_y)
     with pytest.raises(RuntimeError, match="leaves an output variable free"):
         graph_implicants(F)
 

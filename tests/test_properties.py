@@ -19,7 +19,6 @@ from boolinv.cli import _HANDLERS, _json, main
 from boolinv.engine import (
     DEFAULT_BOUND,
     MAX_BOUND,
-    EngineConfig,
     _factor_table,
     _functional_scan,
     _leaf_scan,
@@ -229,13 +228,13 @@ def systems_with_constants(draw):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(systems_with_constants(), st.integers(1, 12))
 def test_implicants_match_oracle_at_any_bound(sys, bound):
-    cover = implicants(sys, EngineConfig(base_bound_m=bound))
+    cover = implicants(sys, bound)
     points = {m.pos for t in cover.terms for m in t.expand(sys.universe)}
     assert points == {a.trues for a in brute_solutions(sys)}
     assert cover.satisfying_total() == len(points)
     assert _orthogonality_violation(cover.terms) is None
     if _leaf_scan(sys.factors)[0].bit_count() <= bound:  # one leaf scan decides
-        assert cover == implicants(sys, EngineConfig(base_bound_m=12))
+        assert cover == implicants(sys, 12)
 
 
 @st.composite

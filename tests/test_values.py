@@ -15,7 +15,7 @@ import pytest
 
 from boolinv.algebra import Anf, Assignment, BoolSystem, ImplicantSet, Term
 from boolinv.cli import main
-from boolinv.engine import DEFAULT_BOUND, ClusterPlan, EngineConfig
+from boolinv.engine import ClusterPlan
 from boolinv.gf2n import MAX_DEGREE, FieldElem, FieldSpec, UniPoly
 from boolinv.maps import (
     BoolMap,
@@ -76,14 +76,6 @@ ROWS = [
     Row(
         ImplicantSet, ("terms", "universe"), ((T,), 3), ((), 3),
         "ImplicantSet(terms=(Term(pos=1, neg=2),), universe=3)",
-    ),
-    Row(
-        EngineConfig, ("base_bound_m",), (5,), (6,), "EngineConfig(base_bound_m=5)",
-        defaults=(DEFAULT_BOUND,),
-        errors=(
-            ((0,), "bound must be at least 1 and at most 20, got 0"),
-            ((21,), "bound must be at least 1 and at most 20, got 21"),
-        ),
     ),
     Row(
         ClusterPlan, ("disjoint_factors", "residual", "split_var"), ((), (0, 1), 2), ((0,), (1,), None),
